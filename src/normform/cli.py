@@ -3,7 +3,8 @@
 Exit codes: 0 ok, 2 input error, 3 not a solution, 4 precision failure,
 5 verification failure.  Reports go to stdout (or --output) as JSON with
 exact elements as coordinate strings and reals at 12 significant digits;
-stderr carries only the error name.
+stderr carries only the error name.  ``timing_seconds`` is the wall time of
+the whole command, from reading the problem file to the finished result.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import NotASolutionError, PrecisionError
+from .errors import NotASolutionError, PrecisionError, VerificationError
 from .module_order import verify_rank
 from .norm_form import enumerate_solutions, norm_form_poly, partition_classes
 from .number_field import FieldElement, relative_norm
@@ -90,13 +91,12 @@ def _tower_summary(ctx):
     }
 
 
-def _base_report(command, ctx, started):
+def _base_report(command, ctx):
     return {
         "command": command,
         "precision_bits": ctx.tower.precision_bits,
         "problem": problem_to_dict(ctx.problem),
         "tower": _tower_summary(ctx),
-        "timing_seconds": round(time.monotonic() - started, 3),
     }
 
 
@@ -128,12 +128,11 @@ def _reduction_out(report):
 
 
 def cmd_height(ctx, element_text):
-    started = time.monotonic()
     element = (parse_element_expr(element_text, ctx.tower)
                if element_text is not None else ctx.mu())
     if element.is_zero:
         raise ValueError("cannot take the height of zero")
-    report = _base_report("height", ctx, started)
+    report = _base_report("height", ctx)
     report["result"] = {
         "element": _element_out(element),
         "height": _real(weil_height(element)),
@@ -143,17 +142,15 @@ def cmd_height(ctx, element_text):
 
 
 def cmd_reduce(ctx):
-    started = time.monotonic()
     system = ctx.system
     reduction = reduce_solution(ctx.mu(), ctx.beta(), ctx.module, system)
-    report = _base_report("reduce", ctx, started)
+    report = _base_report("reduce", ctx)
     report["ranks"] = _ranks_out(system)
     report["result"] = _reduction_out(reduction)
     return report, EXIT_OK
 
 
 def cmd_solve(ctx, coeff_bound):
-    started = time.monotonic()
     system = ctx.system
     beta = ctx.beta()
     sols = enumerate_solutions(ctx.module, beta, coeff_bound,
@@ -161,7 +158,7 @@ def cmd_solve(ctx, coeff_bound):
     if sols.solutions:
         sols = partition_classes(sols, system)
     form = norm_form_poly(ctx.module)
-    report = _base_report("solve", ctx, started)
+    report = _base_report("solve", ctx)
     report["ranks"] = _ranks_out(system)
     report["result"] = {
         "norm_form": [{"monomial": mono, "coefficient": coeff}
@@ -183,9 +180,8 @@ def cmd_solve(ctx, coeff_bound):
 
 
 def cmd_units(ctx):
-    started = time.monotonic()
     system = ctx.system
-    report = _base_report("units", ctx, started)
+    report = _base_report("units", ctx)
     report["ranks"] = _ranks_out(system)
     report["result"] = {
         "epsilons": [{"element": _element_out(eps),
@@ -199,7 +195,6 @@ def cmd_units(ctx):
 
 
 def cmd_verify(ctx, trials_31=200, trials_32=100):
-    started = time.monotonic()
     checks = []
     failed = None
 
@@ -210,7 +205,9 @@ def cmd_verify(ctx, trials_31=200, trials_32=100):
         try:
             detail = fn()
             checks.append({"name": name, "passed": True, "detail": detail})
-        except Exception as exc:  # noqa: BLE001 - every failure maps to exit 5
+        except PrecisionError:
+            raise  # a precision failure is exit 4, not a failed check
+        except Exception as exc:  # noqa: BLE001 - every other failure maps to exit 5
             checks.append({"name": name, "passed": False, "detail": str(exc)})
             failed = name
 
@@ -293,7 +290,7 @@ def cmd_verify(ctx, trials_31=200, trials_32=100):
     run("fiber_deviation_inequality", fiber_deviation_inequality)
     run("rank_zero_identity", rank_zero_identity)
 
-    report = _base_report("verify", ctx, started)
+    report = _base_report("verify", ctx)
     report["result"] = {"checks": checks, "all_passed": failed is None,
                         "first_failure": failed}
     return report, (EXIT_OK if failed is None else EXIT_VERIFY)
@@ -338,6 +335,7 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
         with open(args.problem, encoding="utf-8") as fh:
             problem = parse_problem(fh.read())
@@ -360,9 +358,13 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"PrecisionError: {exc}", file=sys.stderr)
         return EXIT_PRECISION
+    except VerificationError as exc:
+        print(f"VerificationError: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    report["timing_seconds"] = round(time.monotonic() - started, 3)
     _emit(report, args.output)
     return code
 

@@ -11,3 +11,7 @@ class PrecisionError(ArithmeticError):
 
 class NotASolutionError(ValueError):
     """The supplied element does not solve the norm equation."""
+
+
+class VerificationError(Exception):
+    """An exact check of a computed result failed: a defect, not bad input."""

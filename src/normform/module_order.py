@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from mpmath import mp
+
 from .errors import PrecisionError
 from .number_field import (
     FieldElement,
     FieldTower,
-    char_poly,
     embed_k_in_l,
     is_algebraic_integer,
     norm_to_q,
@@ -213,14 +214,16 @@ def is_torsion_unit(alpha: FieldElement):
     """Exact root-of-unity test: returns the order, or None.
 
     Candidate orders n are those with phi(n) dividing the field degree; the
-    test itself is an exact power computation, gated by a cheap numeric
-    all-embeddings-on-the-unit-circle filter and an integrality check.
+    test itself is an exact power computation, gated by a numeric filter
+    that rejects an element with a conjugate certified off the unit circle,
+    and by an integrality check.
     """
     if alpha.is_zero:
         return None
     degree = alpha.tower.degree(alpha.owner)
-    for idx in range(degree):
-        if abs(abs(alpha.embed_numeric(idx)) - 1) > 1e-6:
+    conjugates = alpha.conjugates()
+    with mp.workprec(alpha.tower.precision_bits + 16):
+        if any(abs(abs(value) - 1) > radius for value, radius in conjugates):
             return None
     if not is_algebraic_integer(alpha):
         return None
@@ -245,7 +248,7 @@ def torsion_units(tower: FieldTower, field_tag: str):
     if key in tower._cache:
         return tower._cache[key]
     degree = tower.degree(field_tag)
-    embeds = tower.embeddings_l_hi if field_tag == "l" else tower.embeddings_k_hi
+    embeds = tower.embeddings(field_tag, hi=True)
     one = tower.one(field_tag)
     if any(r.is_real for r in embeds):
         result = (one, -one)
@@ -280,7 +283,6 @@ def _find_primitive_root(tower: FieldTower, field_tag: str, n: int):
     import itertools
 
     import mpmath
-    from mpmath import mp
 
     degree = tower.degree(field_tag)
     prec = 2 * tower.precision_bits
@@ -290,7 +292,7 @@ def _find_primitive_root(tower: FieldTower, field_tag: str, n: int):
     pair_count = degree // 2
     if len(residues) ** max(0, pair_count - 1) > TORSION_SEARCH_CAP:
         raise ValueError("torsion search too large for desk scale")
-    embeds = tower.embeddings_l_hi if field_tag == "l" else tower.embeddings_k_hi
+    embeds = tower.embeddings(field_tag, hi=True)
     with mp.workprec(prec + 16):
         vand = mpmath.matrix(degree, degree)
         for i in range(degree):
@@ -511,6 +513,8 @@ def relative_units_from_epsilons(module: FullModule, epsilons) -> RelativeUnitSy
             raise ValueError("relative unit norm is not torsion")
     if len(epsilons) != r_l - r_k:
         raise ValueError(f"need exactly r(l)-r(k) = {r_l - r_k} relative units")
+    if epsilons and _float_rank(_log_matrix(epsilons, places_l)) != len(epsilons):
+        raise ValueError("supplied relative units not independent")
     return _assemble_system(module, tuple(epsilons), r_l, r_k)
 
 

@@ -16,7 +16,6 @@ from mpmath import mp
 
 from .errors import PrecisionError
 from .rational_core import (
-    ComplexApprox,
     ExactLinearSolver,
     Poly,
     frac_to_mpf,
@@ -29,7 +28,8 @@ from .rational_core import (
 )
 
 __all__ = ["FieldTower", "FieldElement", "build_tower", "embed_k_in_l",
-           "mult_matrix", "char_poly", "relative_norm"]
+           "mult_matrix", "char_poly", "relative_norm", "certified_values",
+           "in_power_order", "is_algebraic_integer"]
 
 
 class FieldElement:
@@ -150,17 +150,54 @@ class FieldElement:
 
     # -- numerics ------------------------------------------------------------
 
+    def conjugates(self, hi: bool = False, indices=None):
+        """(value, error radius) under the stored embeddings of the field.
+
+        `hi` selects the double-precision embeddings; `indices` restricts
+        the list to some embeddings, in the given order.
+        """
+        tower = self.tower
+        roots = tower.embeddings(self.owner, hi)
+        if indices is not None:
+            roots = [roots[i] for i in indices]
+        return certified_values(self.coeffs, roots,
+                                tower.precision_bits * (2 if hi else 1))
+
     def embed_numeric(self, embedding_index: int, hi: bool = False):
         """Value under one archimedean embedding, as an mpc."""
-        tower = self.tower
-        root = tower.embedding(self.owner, embedding_index, hi=hi)
-        prec = tower.precision_bits * (2 if hi else 1)
-        with mp.workprec(prec + 16):
+        return self.conjugates(hi, (embedding_index,))[0][0]
+
+
+def certified_values(poly: Poly, roots, precision_bits: int):
+    """(value, error radius) of `poly` at each certified root.
+
+    Horner evaluation at precision_bits + 16 bits.  The radius bounds the
+    distance to the value at the true root: the root's certified radius r
+    times max |poly'| over the disc of radius r around the stored point,
+    plus the rounding of the evaluation, (8n + 8) units of the working
+    precision relative to sum |c_k| |z|^k.
+    """
+    coeffs = poly.coeffs or (Fraction(0),)
+    n = len(coeffs) - 1
+    out = []
+    with mp.workprec(precision_bits + 16):
+        cs = [frac_to_mpf(c) for c in reversed(coeffs)]
+        mags = [abs(c) for c in cs]
+        slack = (8 * n + 8) * mpmath.mpf(2) ** -(precision_bits + 16)
+        for root in roots:
             z = root.to_mpc()
-            acc = mpmath.mpc(0)
-            for c in reversed(self.coeffs.coeffs):
-                acc = acc * z + frac_to_mpf(c)
-            return acc
+            r = mpmath.mpf(root.error_radius)
+            az = abs(z)
+            disc = az + r
+            value = mpmath.mpc(0)
+            size = slope = mpmath.mpf(0)
+            for k, (c, m) in enumerate(zip(cs, mags)):
+                value = value * z + c
+                size = size * az + m
+                if k < n:
+                    slope = slope * disc + (n - k) * m
+            out.append((value, r * slope + slack * size))
+    return out
 
 
 class FieldTower:
@@ -218,10 +255,11 @@ class FieldTower:
     def degree(self, owner: str) -> int:
         return self.minpoly(owner).degree
 
-    def embedding(self, owner: str, index: int, hi: bool = False) -> ComplexApprox:
+    def embeddings(self, owner: str, hi: bool = False):
+        """The certified roots of the owner's minimal polynomial."""
         if owner == "l":
-            return (self.embeddings_l_hi if hi else self.embeddings_l)[index]
-        return (self.embeddings_k_hi if hi else self.embeddings_k)[index]
+            return self.embeddings_l_hi if hi else self.embeddings_l
+        return self.embeddings_k_hi if hi else self.embeddings_k
 
     def power_basis_solver(self) -> ExactLinearSolver:
         """Exact solver for the Q-basis {theta^i psi_j : i < e, j < f} of l."""
@@ -298,7 +336,7 @@ def build_tower(f_k, f_l, phi_in_theta, psi_basis, precision_bits: int = 128) ->
     if rational_rank(coeff_rows) != f:
         raise ValueError("integral basis is not a Q-basis of k")
     for psi in tower.psi_basis:
-        if not char_poly(psi).is_integral():
+        if not is_algebraic_integer(psi):
             raise ValueError("integral basis element not an algebraic integer")
     one_coords = ExactLinearSolver([[coeff_rows[j][i] for j in range(f)]
                                     for i in range(f)]).solve([1] + [0] * (f - 1))
@@ -310,14 +348,8 @@ def build_tower(f_k, f_l, phi_in_theta, psi_basis, precision_bits: int = 128) ->
 
 def _fibrate(n, e, f, phi_in_theta, emb_l, emb_k, precision_bits):
     """Group the embeddings of l by their restriction to k."""
+    values = [v for v, _ in certified_values(phi_in_theta, emb_l, precision_bits)]
     with mp.workprec(precision_bits + 16):
-        values = []
-        for root in emb_l:
-            z = root.to_mpc()
-            acc = mpmath.mpc(0)
-            for c in reversed(phi_in_theta.coeffs or (Fraction(0),)):
-                acc = acc * z + frac_to_mpf(c)
-            values.append(acc)
         threshold = mpmath.mpf(2) ** (-precision_bits // 4)
         group_of = [-1] * n
         groups = []
@@ -428,5 +460,11 @@ def norm_to_q(alpha: FieldElement) -> Fraction:
     return (-1) ** d * char_poly(alpha).coeff(0)
 
 
+def in_power_order(alpha: FieldElement) -> bool:
+    """True when alpha lies visibly in Z[gen]: integer coefficients over a
+    monic integer minimal polynomial, hence an algebraic integer."""
+    return alpha.coeffs.is_integral() and alpha.tower.minpoly(alpha.owner).is_integral()
+
+
 def is_algebraic_integer(alpha: FieldElement) -> bool:
-    return char_poly(alpha).is_integral()
+    return in_power_order(alpha) or char_poly(alpha).is_integral()

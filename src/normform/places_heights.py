@@ -1,9 +1,15 @@
 """Archimedean places, normalized absolute values, and the Weil height.
 
-Heights are computed through the Mahler measure of the characteristic
-polynomial, which avoids any ideal factorization and is exact up to the
-certified root radii.  Every real-valued result is recomputed at twice the
-working precision; a disagreement raises instead of returning quietly.
+Heights are a sum over the archimedean places of the element's field,
+evaluated at the tower's certified embeddings:
+h(alpha) = (1/d) (log a + sum_w d_w log+ |alpha|_w), where a is the leading
+coefficient of the primitive characteristic polynomial (Mahler's identity
+M(alpha) = a prod max(1, |alpha_i|)).  No ideal factorization and no root
+finding per element is needed, and a is 1 without any characteristic
+polynomial for elements visibly in Z[gen].  A conjugate certified on the
+unit circle contributes exactly 0.  Every real-valued result is recomputed
+at twice the working precision; a disagreement raises instead of returning
+quietly.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .errors import PrecisionError
-from .number_field import FieldElement, FieldTower, char_poly
-from .rational_core import poly_complex_roots, primitive_part, squarefree_part
+from .errors import PrecisionError, VerificationError
+from .number_field import FieldElement, FieldTower, char_poly, in_power_order
+from .rational_core import primitive_part
 
 __all__ = ["Place", "PlaceFiber", "archimedean_places", "place_fibers",
            "log_abs", "weil_height", "archimedean_log_vector"]
@@ -47,7 +53,7 @@ def archimedean_places(tower: FieldTower, field_tag: str):
     key = ("places", field_tag)
     if key in tower._cache:
         return tower._cache[key]
-    embeds = tower.embeddings_l if field_tag == "l" else tower.embeddings_k
+    embeds = tower.embeddings(field_tag)
     d = tower.degree(field_tag)
     places = []
     i = 0
@@ -58,7 +64,8 @@ def archimedean_places(tower: FieldTower, field_tag: str):
         else:
             places.append(Place(field_tag, len(places), False, 2, d, i, (i, i + 1)))
             i += 2
-    assert sum(p.d_w for p in places) == d
+    if sum(p.d_w for p in places) != d:
+        raise VerificationError("place local degrees do not sum to the field degree")
     tower._cache[key] = tuple(places)
     return tower._cache[key]
 
@@ -82,19 +89,21 @@ def place_fibers(tower: FieldTower):
             raise PrecisionError("embedding fibration is not conjugation-stable")
         members[below.pop()].append(w)
     fibers = tuple(PlaceFiber(v, tuple(members[v.index])) for v in places_k)
-    assert all(f.members for f in fibers)
-    assert sum(len(f.members) for f in fibers) == len(places_l)
+    if not all(f.members for f in fibers):
+        raise VerificationError("a place of k has no place of l above it")
+    if sum(len(f.members) for f in fibers) != len(places_l):
+        raise VerificationError("place fibers do not partition the places of l")
     tower._cache[key] = fibers
     return fibers
 
 
 def _log_abs_at(alpha: FieldElement, place: Place, hi: bool):
     prec = alpha.tower.precision_bits * (2 if hi else 1)
-    value = alpha.embed_numeric(place.embedding_index, hi=hi)
+    ((value, radius),) = alpha.conjugates(hi, (place.embedding_index,))
     with mp.workprec(prec + 16):
         mag = abs(value)
-        if mag == 0:
-            raise PrecisionError("embedding value underflowed to zero")
+        if mag <= radius:
+            raise PrecisionError("embedding value not certified nonzero")
         return mpmath.mpf(place.d_w) / place.d * mpmath.log(mag)
 
 
@@ -120,23 +129,24 @@ def archimedean_log_vector(alpha: FieldElement):
     return tuple(log_abs(alpha, w) for w in archimedean_places(alpha.tower, "l"))
 
 
-def _mahler_height(alpha: FieldElement, prec: int):
-    minpoly = squarefree_part(char_poly(alpha))
-    _, q = primitive_part(minpoly)
-    roots = poly_complex_roots(q, prec)
+def _place_sum(alpha: FieldElement, lead: int, hi: bool):
+    """(1/d) log of lead * prod_w max(1, |alpha|_w)^d_w, the Mahler measure."""
+    prec = alpha.tower.precision_bits * (2 if hi else 1)
+    places = archimedean_places(alpha.tower, alpha.owner)
+    values = alpha.conjugates(hi, [w.embedding_index for w in places])
     with mp.workprec(prec + 16):
-        total = mpmath.log(int(q.lead))
-        for root in roots:
-            mag = abs(root.to_mpc())
-            if abs(mag - 1) <= root.error_radius:
-                continue  # a root certified on the unit circle contributes 0
+        measure = mpmath.mpf(lead)
+        for w, (value, radius) in zip(places, values):
+            mag = abs(value)
+            if abs(mag - 1) <= radius:
+                continue  # a conjugate certified on the unit circle contributes 0
             if mag > 1:
-                total += mpmath.log(mag)
-        return total / minpoly.degree
+                measure *= mag ** w.d_w
+        return mpmath.log(measure) / alpha.tower.degree(alpha.owner)
 
 
 def weil_height(alpha: FieldElement) -> float:
-    """Weil height via the Mahler measure of the minimal polynomial.
+    """Weil height as a place sum over the tower's certified embeddings.
 
     Degree normalization makes the value independent of the field the
     element is viewed in, and the unit-circle clamp makes the height of a
@@ -144,9 +154,14 @@ def weil_height(alpha: FieldElement) -> float:
     """
     if alpha.is_zero:
         raise ValueError("height of zero")
+    if in_power_order(alpha):
+        lead = 1
+    else:
+        _, q = primitive_part(char_poly(alpha))
+        lead = int(q.lead)
     prec = alpha.tower.precision_bits
-    lo = _mahler_height(alpha, prec)
-    hi = _mahler_height(alpha, 2 * prec)
+    lo = _place_sum(alpha, lead, hi=False)
+    hi = _place_sum(alpha, lead, hi=True)
     if abs(lo - hi) > mpmath.mpf(2) ** (-prec // 4):
         raise PrecisionError("height re-evaluation disagreed; raise precision")
     return float(hi)

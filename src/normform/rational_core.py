@@ -16,7 +16,7 @@ from math import gcd, lcm
 import mpmath
 from mpmath import mp
 
-from .errors import PrecisionError
+from .errors import PrecisionError, VerificationError
 
 __all__ = [
     "Poly",
@@ -501,7 +501,8 @@ def integer_kernel(rows, ncols=None):
             break
     basis = [tuple(transform[j]) for j in range(npiv, c)]
     for v in basis:  # exact safety check, cheap at these sizes
-        assert all(sum(rows[i][j] * v[j] for j in range(c)) == 0 for i in range(r))
+        if any(sum(rows[i][j] * v[j] for j in range(c)) for i in range(r)):
+            raise VerificationError("integer kernel vector is not in the kernel")
     return lattice_hnf(basis, c)
 
 

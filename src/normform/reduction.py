@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotASolutionError, PrecisionError
+from .errors import NotASolutionError, PrecisionError, VerificationError
 from .module_order import FullModule, RelativeUnitSystem, is_torsion_unit
 from .number_field import FieldElement, is_algebraic_integer, relative_norm
 from .places_heights import archimedean_places, log_abs, place_fibers, weil_height
@@ -124,7 +124,8 @@ def reduce_solution(mu: FieldElement, beta: FieldElement, module: FullModule,
 
     Raises NotASolutionError if Norm(mu) is not beta times a torsion unit,
     ValueError if mu lies outside the module or beta is not integral, and
-    asserts (hard) that the output height respects the bound.
+    VerificationError if the output escapes the module, breaks the norm
+    relation, or exceeds the height bound (a defect, never bad input).
     """
     tower = module.tower
     if mu.is_zero or mu.owner != "l":
@@ -151,23 +152,27 @@ def reduce_solution(mu: FieldElement, beta: FieldElement, module: FullModule,
             height_in=height_in, height_out=height_in, bound=bound,
             zeta_prime=zeta, bound_satisfied=height_in <= bound + 1e-9,
             rank_zero=True, cm_identity=identity)
-        assert report.bound_satisfied, "height bound violated (implementation bug)"
+        if not report.bound_satisfied:
+            raise VerificationError("height bound violated (implementation bug)")
         return report
 
     gamma, u, m = round_to_unit(z, system)
     mu_out = gamma * mu
     inside, coords = module.contains(mu_out)
-    assert inside, "reduced element escaped the module (implementation bug)"
+    if not inside:
+        raise VerificationError("reduced element escaped the module (implementation bug)")
     # cosmetic: make the leading (highest-index) nonzero module coordinate positive
     lead = next((c for c in reversed(coords) if c != 0), 1)
     if lead < 0:
         mu_out = -mu_out
         gamma = -gamma
     zeta_prime = _torsion_quotient(relative_norm(mu_out), beta, system)
-    assert zeta_prime is not None, "reduction broke the norm relation (implementation bug)"
+    if zeta_prime is None:
+        raise VerificationError("reduction broke the norm relation (implementation bug)")
     height_out = weil_height(mu_out)
     satisfied = height_out <= bound + 1e-9
-    assert satisfied, "height bound violated (implementation bug)"
+    if not satisfied:
+        raise VerificationError("height bound violated (implementation bug)")
     return ReductionReport(
         mu_in=mu, gamma=gamma, mu_out=mu_out, z=z, u=u, m=m,
         height_in=height_in, height_out=height_out, bound=bound,

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from normform import cli
+from normform.errors import PrecisionError
 from normform.problemfile import parse_problem, serialize_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -228,3 +232,60 @@ def test_units_without_unit_data_exits_2(tmp_path):
     bare.write_text(json.dumps(data))
     code, _, err = run_cli("units", str(bare))
     assert code == 2 and "units" in err
+
+
+def test_dependent_relative_units_exit_2(tmp_path, capsys):
+    data = json.loads((PROBLEMS / "pell.json").read_text())
+    data["relative_units"] = [["-1"]]             # torsion, so not independent
+    bad = tmp_path / "torsion_unit.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["units", str(bad)]) == 2
+    assert "supplied relative units not independent" in capsys.readouterr().err
+
+
+def test_verify_precision_failure_exits_4(monkeypatch, tmp_path, capsys):
+    def starved(system):
+        raise PrecisionError("forced precision failure")
+
+    monkeypatch.setattr(cli, "verify_rank", starved)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", str(PROBLEMS / "quartic2.json"), "--output", str(out)]) == 4
+    assert "PrecisionError: forced precision failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_timing_covers_the_command(monkeypatch, tmp_path):
+    real = cli.weil_height
+
+    def slow(alpha):
+        time.sleep(0.3)
+        return real(alpha)
+
+    monkeypatch.setattr(cli, "weil_height", slow)
+    out = tmp_path / "report.json"
+    assert cli.main(["height", str(PROBLEMS / "pell.json"), "1+θ", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["timing_seconds"] >= 0.3
+
+
+VIOLATE_BOUND = """
+import sys
+import normform.reduction
+from normform import cli
+
+if __debug__:
+    sys.exit("run under python -O")
+real = normform.reduction.weil_height
+normform.reduction.weil_height = lambda a: real(a) + (50.0 if a.owner == "l" else 0.0)
+sys.exit(cli.main(["reduce", sys.argv[1]]))
+"""
+
+
+def test_bound_violation_exits_5_under_optimize():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", VIOLATE_BOUND, str(PROBLEMS / "pell.json")],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 5, proc.stderr
+    assert "VerificationError: height bound violated" in proc.stderr
+    assert proc.stdout == ""

@@ -2,20 +2,34 @@
 
 import math
 import random
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
+from mpmath import mp
 
 from normform import (
     Poly,
     archimedean_log_vector,
     archimedean_places,
+    build_tower,
+    char_poly,
+    embed_k_in_l,
     log_abs,
     place_fibers,
+    poly_complex_roots,
+    primitive_part,
     weil_height,
 )
-from normform.number_field import norm_to_q
+from normform.number_field import is_algebraic_integer, norm_to_q
 from normform.module_order import torsion_units
+from normform.problemfile import parse_problem
+from normform.rational_core import squarefree_part
+
+PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_places_pell(pell_tower):
@@ -202,3 +216,129 @@ def test_height_place_sum_oracle_for_integers(pell_tower):
         oracle = 0.5 * (sum(abs(v) for v in logs)
                         + math.log(abs(float(norm_to_q(mu)))) / 2)
         assert abs(weil_height(mu) - oracle) < 1e-9
+
+
+# -- the place-sum height against the Mahler-measure reference -----------------
+
+
+def _mahler_oracle(alpha, prec=128):
+    """The former height: Mahler measure of the primitive minimal polynomial,
+    from fresh Durand-Kerner roots of the characteristic polynomial."""
+    minpoly = squarefree_part(char_poly(alpha))
+    _, q = primitive_part(minpoly)
+    with mp.workprec(2 * prec + 16):
+        total = mpmath.log(int(q.lead))
+        for root in poly_complex_roots(q, 2 * prec):
+            mag = abs(root.to_mpc())
+            if abs(mag - 1) <= root.error_radius:
+                continue
+            if mag > 1:
+                total += mpmath.log(mag)
+        return float(total / minpoly.degree)
+
+
+def _radical_tower(n):
+    """l = Q(2^(1/n)), k = Q(sqrt2) via phi = theta^(n/2)."""
+    return build_tower(Poly([-2, 0, 1]), Poly([-2] + [0] * (n - 1) + [1]),
+                       Poly.monomial(n // 2), [Poly([1]), Poly([0, 1])], 128)
+
+
+def _sample_elements(tower, rng, bound, count):
+    d_l, d_k = tower.degree("l"), tower.degree("k")
+    out = []
+    for _ in range(count):
+        out.append(tower.l_element([rng.randint(-bound, bound) for _ in range(d_l)]))
+        out.append(tower.l_element([Fraction(rng.randint(-bound, bound), rng.randint(1, 6))
+                                    for _ in range(d_l)]))
+        out.append(tower.k_element([Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+                                    for _ in range(d_k)]))
+    out.append(tower.l_element([Fraction(rng.randint(1, 50), rng.randint(51, 99))]))
+    return [a for a in out if not a.is_zero]
+
+
+@pytest.mark.parametrize("n,bound", [(2, 2 ** 20), (4, 2 ** 12), (6, 40), (8, 9)])
+def test_place_sum_height_matches_mahler_oracle(n, bound):
+    rng = random.Random(300 + n)
+    tower = _radical_tower(n)
+    for alpha in _sample_elements(tower, rng, bound, 3):
+        assert abs(weil_height(alpha) - _mahler_oracle(alpha)) < 1e-12
+
+
+def test_place_sum_height_matches_oracle_on_cyclotomic(cyclotomic_tower):
+    rng = random.Random(308)
+    t = cyclotomic_tower
+    golden = t.psi_basis[1]
+    elements = _sample_elements(t, rng, 30, 3) + [golden, golden * 7 - 2,
+                                                  embed_k_in_l(golden) + t.theta()]
+    for alpha in elements:
+        assert abs(weil_height(alpha) - _mahler_oracle(alpha)) < 1e-12
+
+
+def test_roots_of_unity_have_height_exactly_zero(cyclotomic_tower):
+    # the stored conjugates of zeta5 are rounded, so only the certified
+    # unit-circle clamp makes these exact
+    torsion = torsion_units(cyclotomic_tower, "l")
+    assert len(torsion) == 10
+    assert all(weil_height(zeta) == 0.0 for zeta in torsion)
+
+
+def test_high_degree_heights_within_budget():
+    # d = 12 and 16: about 10 ms per height; the budget leaves wide room
+    rng = random.Random(312)
+    for n in (12, 16):
+        tower = _radical_tower(n)
+        elements = [tower.l_element([rng.randint(-2 ** 24, 2 ** 24) for _ in range(n)])
+                    for _ in range(3)]
+        start = time.perf_counter()
+        heights = [weil_height(a) for a in elements]
+        assert time.perf_counter() - start < 3.0
+        assert all(h > 0 for h in heights)
+        assert abs(weil_height(tower.theta()) - math.log(2) / n) < 1e-12
+        b = tower.k_element([Fraction(3, 5), 7])
+        assert abs(weil_height(embed_k_in_l(b)) - weil_height(b)) < 1e-12
+    small = tower.l_element([rng.randint(-9, 9) for _ in range(16)])
+    assert abs(weil_height(small.inverse()) - weil_height(small)) < 1e-9
+
+
+def test_weil_height_does_no_root_finding(monkeypatch, quartic_tower, cyclotomic_tower):
+    def refuse(*args, **kwargs):
+        raise AssertionError("weil_height must not find roots")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "normform" and hasattr(module, "poly_complex_roots"):
+            monkeypatch.setattr(module, "poly_complex_roots", refuse)
+    for t in (quartic_tower, cyclotomic_tower):
+        for alpha in (t.l_element([5, -3, 0, 2]), t.l_element([Fraction(1, 3), 2, 0, 1]),
+                      t.k_element([Fraction(5, 2), Fraction(1, 2)]), t.one("l")):
+            weil_height(alpha)
+
+
+def _corpus_towers():
+    towers = {}
+    for path in sorted(PROBLEMS_DIR.glob("*.json")):
+        pf = parse_problem(path.read_text())
+        key = (pf.base_minpoly, pf.ext_minpoly, pf.k_generator_in_l,
+               tuple(pf.integral_basis))
+        if key not in towers:
+            towers[key] = build_tower(pf.base_minpoly, pf.ext_minpoly,
+                                      pf.k_generator_in_l, pf.integral_basis, 128)
+    return list(towers.values())
+
+
+def test_is_algebraic_integer_agrees_with_char_poly():
+    rng = random.Random(320)
+    towers = _corpus_towers()
+    assert len(towers) == 4
+    for t in towers:
+        for owner in ("l", "k"):
+            d = t.degree(owner)
+            basis = ([embed_k_in_l(p) for p in t.psi_basis] if owner == "l"
+                     else list(t.psi_basis))
+            for _ in range(30):
+                coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+                          for _ in range(d)]
+                alpha = t.element(owner, coeffs)
+                # Z-combinations of the integral basis: integral, often not in Z[gen]
+                beta = sum((rng.randint(-5, 5) * b for b in basis), t.zero(owner))
+                for x in (alpha, beta, alpha * beta):
+                    assert is_algebraic_integer(x) == char_poly(x).is_integral()
