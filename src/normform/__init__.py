@@ -6,11 +6,9 @@ from .module_order import (
     CoefficientRing,
     FullModule,
     RelativeUnitSystem,
-    build_module,
     coefficient_ring,
     fundamental_unit_real_quadratic,
     is_torsion_unit,
-    module_contains,
     relative_units,
     relative_units_from_epsilons,
     torsion_units,

@@ -19,9 +19,10 @@ from fractions import Fraction
 
 from .errors import NotASolutionError, PrecisionError, VerificationError
 from .module_order import verify_rank
-from .norm_form import enumerate_solutions, norm_form_poly, partition_classes
+from .norm_form import enumerate_solutions, partition_classes
 from .number_field import FieldElement, relative_norm
-from .places_heights import archimedean_log_vector, archimedean_places, place_fibers, weil_height
+from .places_heights import (FIBER_TOL, archimedean_log_vector, archimedean_places, fiber_sums,
+                             place_fibers, weil_height)
 from .problemfile import build_context, parse_problem, problem_to_dict
 from .rational_core import Poly, rat_to_str
 from .reduction import balance_vector, cm_height_identity, reduce_solution, round_to_unit
@@ -157,12 +158,11 @@ def cmd_solve(ctx, coeff_bound):
                                zeta_mode=ctx.problem.zeta_mode)
     if sols.solutions:
         sols = partition_classes(sols, system)
-    form = norm_form_poly(ctx.module)
     report = _base_report("solve", ctx)
     report["ranks"] = _ranks_out(system)
     report["result"] = {
         "norm_form": [{"monomial": mono, "coefficient": coeff}
-                      for mono, coeff in form.as_strings()],
+                      for mono, coeff in sols.norm_form.as_strings()],
         "beta": _element_out(beta),
         "zeta_mode": ctx.problem.zeta_mode,
         "search_box": sols.search_box,
@@ -215,13 +215,12 @@ def cmd_verify(ctx, trials_31=200, trials_32=100):
         triple = verify_rank(ctx.system)
         return {"r_l": triple[0], "r_k": triple[1], "r_rel": triple[2]}
 
-    def fiber_sums():
+    def balanced_log_columns():
         system = ctx.system
-        for j in range(len(system.epsilons)):
-            for fiber in place_fibers(ctx.tower):
-                total = sum(system.log_matrix[w.index][j] for w in fiber.members)
-                if abs(total) > 1e-9:
-                    raise AssertionError(f"fiber sum {total} exceeds 1e-9")
+        for column in zip(*system.log_matrix):
+            for total in fiber_sums(ctx.tower, column):
+                if abs(total) > FIBER_TOL:
+                    raise AssertionError(f"fiber sum {total} exceeds {FIBER_TOL}")
         return {"epsilons": len(system.epsilons)}
 
     def rounding_inequality():
@@ -285,7 +284,7 @@ def cmd_verify(ctx, trials_31=200, trials_32=100):
         return {"h_mu": _real(h_mu), "h_beta_over_e": _real(h_b)}
 
     run("rank_certificate", rank_certificate)
-    run("fiber_sums", fiber_sums)
+    run("fiber_sums", balanced_log_columns)
     run("rounding_inequality", rounding_inequality)
     run("fiber_deviation_inequality", fiber_deviation_inequality)
     run("rank_zero_identity", rank_zero_identity)

@@ -16,7 +16,7 @@ from math import lcm
 
 from mpmath import mp
 
-from .errors import PrecisionError
+from .errors import PrecisionError, VerificationError
 from .number_field import (
     FieldElement,
     FieldTower,
@@ -25,13 +25,12 @@ from .number_field import (
     norm_to_q,
     relative_norm,
 )
-from .places_heights import archimedean_places, log_abs, place_fibers
-from .rational_core import ExactLinearSolver, Poly, integer_kernel, lattice_hnf
+from .places_heights import FIBER_TOL, archimedean_places, fiber_sums, log_abs
+from .rational_core import ExactLinearSolver, Poly, integer_kernel, lattice_hnf, least_squares
 
-__all__ = ["FullModule", "CoefficientRing", "RelativeUnitSystem", "build_module",
-           "module_contains", "coefficient_ring", "torsion_units", "is_torsion_unit",
-           "relative_units", "relative_units_from_epsilons", "verify_rank",
-           "fundamental_unit_real_quadratic"]
+__all__ = ["FullModule", "CoefficientRing", "RelativeUnitSystem", "coefficient_ring",
+           "torsion_units", "is_torsion_unit", "relative_units", "relative_units_from_epsilons",
+           "verify_rank", "fundamental_unit_real_quadratic"]
 
 POWER_SEARCH_CAP = 10_000
 TORSION_SEARCH_CAP = 100_000
@@ -95,14 +94,6 @@ class FullModule:
         return True
 
 
-def build_module(tower: FieldTower, omega_basis) -> FullModule:
-    return FullModule(tower, omega_basis)
-
-
-def module_contains(module: FullModule, alpha: FieldElement):
-    return module.contains(alpha)
-
-
 @dataclass(frozen=True)
 class CoefficientRing:
     """The multiplier ring O_M = {a : a M ⊆ M} with an explicit Z-basis."""
@@ -156,7 +147,7 @@ def coefficient_ring(module: FullModule) -> CoefficientRing:
     kernel = integer_kernel(big)
     u_basis = lattice_hnf([vec[:n] for vec in kernel], n)
     if len(u_basis) != n:
-        raise RuntimeError("coefficient ring lattice is degenerate (solver bug)")
+        raise VerificationError("coefficient ring lattice is degenerate (solver bug)")
     ring_elements = []
     for u in u_basis:
         coords = [Fraction(v, d1) for v in u]
@@ -166,13 +157,13 @@ def coefficient_ring(module: FullModule) -> CoefficientRing:
     ring = CoefficientRing(module, tuple(ring_elements), ExactLinearSolver(rows))
     ok, _ = ring.contains(tower.one("l"))
     if not ok:
-        raise RuntimeError("coefficient ring does not contain 1 (solver bug)")
+        raise VerificationError("coefficient ring does not contain 1 (solver bug)")
     for i, a in enumerate(ring_elements):
         if not is_algebraic_integer(a):
-            raise RuntimeError("coefficient ring escaped O_l (solver bug)")
+            raise VerificationError("coefficient ring escaped O_l (solver bug)")
         for b in ring_elements[i:]:
             if not ring.contains(a * b)[0]:
-                raise RuntimeError("coefficient ring is not closed (solver bug)")
+                raise VerificationError("coefficient ring is not closed (solver bug)")
     return ring
 
 
@@ -377,59 +368,8 @@ class RelativeUnitSystem:
         return self.ranks[2]
 
 
-def _float_rank(rows, tol=1e-8) -> int:
-    work = [list(map(float, r)) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        piv = max(range(rank, len(work)), key=lambda i: abs(work[i][col]), default=None)
-        if piv is None or abs(work[piv][col]) < tol:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pivval = work[rank][col]
-        work[rank] = [v / pivval for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank:
-                f = work[i][col]
-                if f:
-                    work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
 def _log_matrix(units, places):
     return [[log_abs(u, w) for u in units] for w in places]
-
-
-def _solve_least_squares(matrix_rows, target):
-    """Normal-equations solve with full pivoting; returns (solution, residual)."""
-    m = len(matrix_rows)
-    s = len(matrix_rows[0]) if m else 0
-    if s == 0:
-        return [], max((abs(t) for t in target), default=0.0)
-    gram = [[sum(matrix_rows[w][i] * matrix_rows[w][j] for w in range(m))
-             for j in range(s)] for i in range(s)]
-    rhs = [sum(matrix_rows[w][i] * target[w] for w in range(m)) for i in range(s)]
-    idx = list(range(s))
-    for col in range(s):
-        piv = max(range(col, s), key=lambda i: abs(gram[i][col]))
-        if abs(gram[piv][col]) < 1e-14:
-            raise PrecisionError("unit log matrix is numerically singular")
-        gram[col], gram[piv] = gram[piv], gram[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        idx[col], idx[piv] = idx[piv], idx[col]
-        for i in range(col + 1, s):
-            f = gram[i][col] / gram[col][col]
-            gram[i] = [a - f * b for a, b in zip(gram[i], gram[col])]
-            rhs[i] -= f * rhs[col]
-    sol = [0.0] * s
-    for i in range(s - 1, -1, -1):
-        sol[i] = (rhs[i] - sum(gram[i][j] * sol[j] for j in range(i + 1, s))) / gram[i][i]
-    residual = max(abs(sum(matrix_rows[w][j] * sol[j] for j in range(s)) - target[w])
-                   for w in range(m))
-    return sol, residual
 
 
 def _verify_unit(u: FieldElement, label: str):
@@ -463,23 +403,19 @@ def relative_units(module: FullModule, units_l, units_k) -> RelativeUnitSystem:
         _verify_unit(u, "supplied l-unit")
     for u in units_k:
         _verify_unit(u, "supplied k-unit")
-    if units_l and _float_rank(_log_matrix(units_l, places_l)) != r_l:
-        raise ValueError("supplied units not independent")
-    if units_k and _float_rank(_log_matrix(units_k, places_k)) != r_k:
-        raise ValueError("supplied units not independent")
+    for units, places, r in ((units_l, places_l, r_l), (units_k, places_k, r_k)):
+        if least_squares(_log_matrix(units, places))[2] != r:
+            raise ValueError("supplied units not independent")
 
-    k_logs = _log_matrix(units_k, places_k) if units_k else [[] for _ in places_k]
+    k_logs = _log_matrix(units_k, places_k)
     exponent_rows = []
     for u in units_l:
         nu = relative_norm(u)
         target = [log_abs(nu, v) for v in places_k]
-        if r_k == 0:
-            exponents = []
-        else:
-            sol, _ = _solve_least_squares(k_logs, target)
-            exponents = [round(x) for x in sol]
-            if any(abs(x - m) > 0.25 for x, m in zip(sol, exponents)):
-                raise ValueError("precision failure or invalid unit data")
+        sol, _, _ = least_squares(k_logs, target)
+        exponents = [round(x) for x in sol]
+        if any(abs(x - m) > 0.25 for x, m in zip(sol, exponents)):
+            raise ValueError("precision failure or invalid unit data")
         quotient = nu
         for vk, m in zip(units_k, exponents):
             quotient = quotient * vk ** (-m)
@@ -513,7 +449,7 @@ def relative_units_from_epsilons(module: FullModule, epsilons) -> RelativeUnitSy
             raise ValueError("relative unit norm is not torsion")
     if len(epsilons) != r_l - r_k:
         raise ValueError(f"need exactly r(l)-r(k) = {r_l - r_k} relative units")
-    if epsilons and _float_rank(_log_matrix(epsilons, places_l)) != len(epsilons):
+    if least_squares(_log_matrix(epsilons, places_l))[2] != len(epsilons):
         raise ValueError("supplied relative units not independent")
     return _assemble_system(module, tuple(epsilons), r_l, r_k)
 
@@ -529,20 +465,17 @@ def _least_power_in_unit_group(module: FullModule, eta: FieldElement) -> FieldEl
 
 def _assemble_system(module, epsilons, r_l, r_k) -> RelativeUnitSystem:
     tower = module.tower
-    places_l = archimedean_places(tower, "l")
-    log_rows = tuple(tuple(log_abs(e, w) for e in epsilons) for w in places_l)
-    s = len(epsilons)
-    if s != r_l - r_k:
-        raise RuntimeError("relative unit count disagrees with the rank formula")
-    if s and _float_rank(log_rows) != s:
-        raise RuntimeError("relative units are multiplicatively dependent")
-    for j in range(s):
-        for fiber in place_fibers(tower):
-            total = sum(log_rows[w.index][j] for w in fiber.members)
-            if abs(total) > 1e-9:
-                raise PrecisionError("relative unit log column leaves the balanced subspace")
-    system = RelativeUnitSystem(module, epsilons, log_rows,
-                                torsion_units(tower, "k"), (r_l, r_k, s))
+    log_rows = tuple(tuple(log_abs(e, w) for e in epsilons)
+                     for w in archimedean_places(tower, "l"))
+    system = RelativeUnitSystem(module, epsilons, log_rows, torsion_units(tower, "k"),
+                                (r_l, r_k, len(epsilons)))
+    try:
+        verify_rank(system)
+    except ValueError as exc:
+        raise VerificationError(f"relative unit system: {exc}") from None
+    for column in zip(*log_rows):
+        if any(abs(total) > FIBER_TOL for total in fiber_sums(tower, column)):
+            raise PrecisionError("relative unit log column leaves the balanced subspace")
     return system
 
 
@@ -552,11 +485,8 @@ def verify_rank(system: RelativeUnitSystem):
     r_l = len(archimedean_places(tower, "l")) - 1
     r_k = len(archimedean_places(tower, "k")) - 1
     s = r_l - r_k
-    if system.ranks != (r_l, r_k, s):
-        raise ValueError("rank certificate failed")
-    if len(system.epsilons) != s:
-        raise ValueError("rank certificate failed")
-    if s and _float_rank(system.log_matrix) != s:
+    if (system.ranks != (r_l, r_k, s) or len(system.epsilons) != s
+            or least_squares(system.log_matrix)[2] != s):
         raise ValueError("rank certificate failed")
     return (r_l, r_k, s)
 

@@ -10,12 +10,12 @@ system and then verified exactly in the field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .module_order import FullModule, RelativeUnitSystem, is_torsion_unit, torsion_units
 from .number_field import FieldElement, embed_k_in_l, is_algebraic_integer, relative_norm
 from .places_heights import archimedean_log_vector
+from .rational_core import SPAN_RESIDUAL_TOL, least_squares
 from .reduction import ReductionReport, reduce_solution
 
 __all__ = ["NormFormPoly", "Solution", "SolutionClass", "SolutionSet",
@@ -73,6 +73,7 @@ class SolutionSet:
     beta: FieldElement
     solutions: tuple
     search_box: int
+    norm_form: NormFormPoly
     classes: tuple = None
 
 
@@ -97,19 +98,8 @@ def norm_form_poly(module: FullModule) -> NormFormPoly:
     tower = module.tower
     e = tower.e
     # c[i][n][m]: k-coefficient of omega_m in omega_i * omega_n
-    coeffs = []
-    for om_i in module.omega_basis:
-        row = []
-        for om_n in module.omega_basis:
-            x = module.coordinates(om_i * om_n)
-            per_m = []
-            for m in range(e):
-                c = tower.zero("k")
-                for j, psi in enumerate(tower.psi_basis):
-                    c = c + x[m * tower.f + j] * psi
-                per_m.append(c)
-            row.append(per_m)
-        coeffs.append(row)
+    coeffs = [[tower.k_elements(module.coordinates(om_i * om_n))
+               for om_n in module.omega_basis] for om_i in module.omega_basis]
     # entry (m, n) of the generic matrix is the linear form sum_i c[i][n][m] x_i
     entry = [[[coeffs[i][n][m] for i in range(e)] for n in range(e)] for m in range(e)]
     zero = tower.zero("k")
@@ -192,48 +182,30 @@ def enumerate_solutions(module: FullModule, beta: FieldElement, coeff_bound: int
     for coords in itertools.product(rng, repeat=n):
         if not any(coords):
             continue
-        nu = []
-        for i in range(tower.e):
-            c = tower.zero("k")
-            for j, psi in enumerate(tower.psi_basis):
-                c = c + coords[i * tower.f + j] * psi
-            nu.append(c)
+        nu = tower.k_elements(coords)
         value = form.evaluate(nu)
         for target, zeta in targets:
             if value == target:
                 mu = module.element_from_coordinates(coords)
                 solutions.append(Solution(tuple(coords), tuple(nu), mu, zeta))
                 break
-    return SolutionSet(beta, tuple(solutions), coeff_bound)
-
-
-def _unit_exponents_of(quotient: FieldElement, system: RelativeUnitSystem):
-    """Integer exponents m with quotient / prod eps^m torsion, or None."""
-    from .module_order import _solve_least_squares
-
-    s = len(system.epsilons)
-    logs = list(archimedean_log_vector(quotient))
-    if s == 0:
-        m = ()
-    else:
-        u, residual = _solve_least_squares([list(r) for r in system.log_matrix], logs)
-        if residual > 1e-6:
-            return None
-        m = tuple(round(x) for x in u)
-    rest = quotient
-    for eps, mj in zip(system.epsilons, m):
-        rest = rest * eps ** (-mj)
-    if is_torsion_unit(rest) is None:
-        return None
-    if not system.module.stabilized_by(rest):
-        return None
-    return m
+    return SolutionSet(beta, tuple(solutions), coeff_bound, form)
 
 
 def equivalent_solutions(a: FieldElement, b: FieldElement,
                          system: RelativeUnitSystem) -> bool:
-    """True iff b/a is a torsion multiple of an exact relative-unit power."""
-    return _unit_exponents_of(b / a, system) is not None
+    """True iff b/a is a torsion multiple of an exact relative-unit power.
+
+    The exponents come from the unit-log system on the log vector of b/a,
+    rounded; the torsion and module-unit tests on the rest are exact.
+    """
+    rest = b / a
+    u, residual, _ = least_squares(system.log_matrix, archimedean_log_vector(rest))
+    if residual > SPAN_RESIDUAL_TOL:
+        return False
+    for eps, mj in zip(system.epsilons, (round(x) for x in u)):
+        rest = rest * eps ** (-mj)
+    return is_torsion_unit(rest) is not None and system.module.stabilized_by(rest)
 
 
 def partition_classes(solution_set: SolutionSet,
@@ -256,5 +228,4 @@ def partition_classes(solution_set: SolutionSet,
         witness = solution_set.solutions[witness_idx]
         report = reduce_solution(witness.mu, solution_set.beta, module, system)
         out.append(SolutionClass(tuple(members), report))
-    return SolutionSet(solution_set.beta, solution_set.solutions,
-                       solution_set.search_box, tuple(out))
+    return replace(solution_set, classes=tuple(out))

@@ -73,11 +73,6 @@ class FieldElement:
         d = self.tower.minpoly(self.owner).degree
         return [self.coeffs.coeff(i) for i in range(d)]
 
-    def rational_value(self) -> Fraction:
-        if self.coeffs.degree > 0:
-            raise ValueError("element is not rational")
-        return self.coeffs.coeff(0)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
@@ -281,12 +276,16 @@ class FieldTower:
         """Write an l-element as sum_i c_i theta^i with c_i in k."""
         if alpha.owner != "l":
             raise ValueError("k_coordinates expects an l-element")
-        x = self.power_basis_solver().solve(alpha.coeff_vector())
+        return self.k_elements(self.power_basis_solver().solve(alpha.coeff_vector()))
+
+    def k_elements(self, flat):
+        """The k-coefficients c_i = sum_j flat[i*f + j] psi_j of a vector
+        given flat over a basis {b_i psi_j}."""
         out = []
-        for i in range(self.e):
+        for i in range(len(flat) // self.f):
             c = self.zero("k")
             for j, psi in enumerate(self.psi_basis):
-                c = c + x[i * self.f + j] * psi
+                c = c + flat[i * self.f + j] * psi
             out.append(c)
         return out
 
@@ -400,13 +399,6 @@ def mult_matrix(alpha: FieldElement):
 def char_poly(alpha: FieldElement) -> Poly:
     """Characteristic polynomial of alpha over Q (degree = field degree)."""
     return matrix_charpoly(mult_matrix(alpha))
-
-
-def min_poly(alpha: FieldElement) -> Poly:
-    """Minimal polynomial of alpha over Q (squarefree part of char_poly)."""
-    from .rational_core import squarefree_part
-
-    return squarefree_part(char_poly(alpha))
 
 
 def _field_det(rows, tower):

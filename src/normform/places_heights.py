@@ -23,8 +23,10 @@ from .errors import PrecisionError, VerificationError
 from .number_field import FieldElement, FieldTower, char_poly, in_power_order
 from .rational_core import primitive_part
 
-__all__ = ["Place", "PlaceFiber", "archimedean_places", "place_fibers",
-           "log_abs", "weil_height", "archimedean_log_vector"]
+__all__ = ["Place", "PlaceFiber", "archimedean_places", "place_fibers", "fiber_sums",
+           "FIBER_TOL", "log_abs", "weil_height", "archimedean_log_vector"]
+
+FIBER_TOL = 1e-9  # largest fiber sum of a balanced vector over the places of l
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,11 @@ def place_fibers(tower: FieldTower):
         raise VerificationError("place fibers do not partition the places of l")
     tower._cache[key] = fibers
     return fibers
+
+
+def fiber_sums(tower: FieldTower, vector):
+    """Per place v of k, the sum of vector[w.index] over the places w above v."""
+    return tuple(sum(vector[w.index] for w in fiber.members) for fiber in place_fibers(tower))
 
 
 def _log_abs_at(alpha: FieldElement, place: Place, hi: bool):

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .module_order import (
     FullModule,
     RelativeUnitSystem,
-    build_module,
     relative_units,
     relative_units_from_epsilons,
 )
@@ -188,5 +187,5 @@ def build_context(pf: ProblemFile, precision_bits: int = None) -> ProblemContext
     precision = precision_bits or pf.precision_bits
     tower = build_tower(pf.base_minpoly, pf.ext_minpoly, pf.k_generator_in_l,
                         pf.integral_basis, precision)
-    module = build_module(tower, [tower.l_element(p) for p in pf.module_basis])
+    module = FullModule(tower, [tower.l_element(p) for p in pf.module_basis])
     return ProblemContext(pf, tower, module)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 
 import mpmath
 from mpmath import mp
@@ -28,6 +28,7 @@ __all__ = [
     "ExactLinearSolver",
     "rational_rank",
     "matrix_charpoly",
+    "least_squares",
     "rat_from_str",
     "rat_to_str",
     "frac_to_mpf",
@@ -64,10 +65,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls([c])
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "Poly":
@@ -615,3 +612,59 @@ def matrix_charpoly(rows) -> Poly:
         coeffs[n - k] = c
         m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
     return Poly(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Float least squares: the unit-log system
+
+# The acceptance thresholds of the unit-log system.
+RANK_RTOL = 1e-8  # rank pivot threshold, relative to max(1, largest column norm)
+SPAN_RESIDUAL_TOL = 1e-6  # largest residual of a target that lies in the column span
+
+
+def least_squares(rows, target=None):
+    """Solve rows * x = target in the least-squares sense by Householder QR.
+
+    Pure-Python QR with column pivoting in doubles; it never forms the
+    normal equations, so the condition number is not squared.  Elimination
+    stops at the first pivot |R_kk| <= RANK_RTOL * max(1, |R_00|); the
+    pivots before it give the numerical rank, and the columns left over get
+    0 in the solution.  Returns (solution, residual, rank) with the residual
+    the largest entry of |rows * x - target|.  Without a target the system
+    is homogeneous, which gives the rank alone.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    cols = [[float(v) for v in col] for col in zip(*rows)]
+    rhs = [float(t) for t in target] if target is not None else [0.0] * m
+    b = list(rhs)
+    order = list(range(n))
+    rank, scale = 0, 1.0
+    for k in range(min(m, n)):
+        norms = [sqrt(sum(v * v for v in col[k:])) for col in cols[k:]]
+        p = k + max(range(n - k), key=norms.__getitem__)
+        cols[k], cols[p] = cols[p], cols[k]
+        order[k], order[p] = order[p], order[k]
+        alpha = norms[p - k]
+        if k == 0:
+            scale = max(1.0, alpha)
+        if alpha <= RANK_RTOL * scale:
+            break
+        if cols[k][k] > 0:
+            alpha = -alpha  # reflect away from the diagonal entry: no cancellation
+        v = cols[k][k:]
+        v[0] -= alpha
+        vv = sum(a * a for a in v)
+        for y in cols[k + 1:] + [b]:
+            f = 2 * sum(a * c for a, c in zip(v, y[k:])) / vv
+            for i, a in enumerate(v):
+                y[k + i] -= f * a
+        cols[k][k] = alpha
+        rank += 1
+    x = [0.0] * n
+    for i in range(rank - 1, -1, -1):
+        done = sum(cols[j][i] * x[order[j]] for j in range(i + 1, rank))
+        x[order[i]] = (b[i] - done) / cols[i][i] + 0.0  # a zero stays 0.0, never -0.0
+    residual = max((abs(sum(float(a) * xj for a, xj in zip(row, x)) - t)
+                    for row, t in zip(rows, rhs)), default=0.0)
+    return x, residual, rank

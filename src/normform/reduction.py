@@ -12,18 +12,22 @@ verified instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NotASolutionError, PrecisionError, VerificationError
 from .module_order import FullModule, RelativeUnitSystem, is_torsion_unit
 from .number_field import FieldElement, is_algebraic_integer, relative_norm
-from .places_heights import archimedean_places, log_abs, place_fibers, weil_height
+from .places_heights import (FIBER_TOL, archimedean_places, fiber_sums, log_abs,
+                             place_fibers, weil_height)
+from .rational_core import SPAN_RESIDUAL_TOL, least_squares
 
 __all__ = ["BalancedSubspaceVector", "ReductionReport", "balance_vector",
            "round_to_unit", "reduce_solution", "cm_height_identity"]
 
-FIBER_TOL = 1e-9
-SPAN_RESIDUAL_TOL = 1e-6
+# Within TIE_TOL of a half-integer is a tie, whatever the solve's last bits;
+# far below the 1e-9 slack of the height bound check.
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,50 +65,35 @@ def balance_vector(mu: FieldElement, system: RelativeUnitSystem) -> BalancedSubs
     places_l = archimedean_places(tower, "l")
     logs = [log_abs(mu, w) for w in places_l]
     coords = [0.0] * len(places_l)
-    sums = []
-    for fiber in place_fibers(tower):
-        mean = sum(logs[w.index] for w in fiber.members) / len(fiber.members)
+    for fiber, total in zip(place_fibers(tower), fiber_sums(tower, logs)):
         for w in fiber.members:
-            coords[w.index] = mean - logs[w.index]
-        total = sum(coords[w.index] for w in fiber.members)
-        sums.append(total)
-        if abs(total) > FIBER_TOL:
-            raise PrecisionError("balancing vector left the fiber-sum-zero subspace")
-    return BalancedSubspaceVector(tuple(coords), tuple(sums))
+            coords[w.index] = total / len(fiber.members) - logs[w.index]
+    sums = fiber_sums(tower, coords)
+    if any(abs(total) > FIBER_TOL for total in sums):
+        raise PrecisionError("balancing vector left the fiber-sum-zero subspace")
+    return BalancedSubspaceVector(tuple(coords), sums)
 
 
 def _round_half_toward_zero(x: float) -> int:
-    import math
-
     floor = math.floor(x)
     frac = x - floor
-    if frac > 0.5:
-        return floor + 1
-    if frac < 0.5:
-        return floor
-    return floor if x > 0 else floor + 1
+    if abs(frac - 0.5) <= TIE_TOL:
+        return floor if x > 0 else floor + 1
+    return floor + 1 if frac > 0.5 else floor
 
 
 def round_to_unit(z: BalancedSubspaceVector, system: RelativeUnitSystem):
     """Solve the unit-log system on z, round, and take the exact unit power.
 
     Returns (gamma, u, m) with gamma = prod eps_j^{m_j}, m_j = round(u_j)
-    (ties toward zero), and u the solution of log_matrix * u = z.
+    (ties, to within TIE_TOL, toward zero), and u the solution of
+    log_matrix * u = z.
     """
-    from .module_order import _solve_least_squares
-
-    s = len(system.epsilons)
-    tower = system.module.tower
-    if s == 0:
-        residual = max((abs(c) for c in z.coords), default=0.0)
-        if residual > SPAN_RESIDUAL_TOL:
-            raise ValueError("z not in unit-log span: inconsistent system or precision failure")
-        return tower.one("l"), (), ()
-    u, residual = _solve_least_squares([list(r) for r in system.log_matrix], list(z.coords))
+    u, residual, _ = least_squares(system.log_matrix, z.coords)
     if residual > SPAN_RESIDUAL_TOL:
         raise ValueError("z not in unit-log span: inconsistent system or precision failure")
     m = tuple(_round_half_toward_zero(x) for x in u)
-    gamma = tower.one("l")
+    gamma = system.module.tower.one("l")
     for eps, mj in zip(system.epsilons, m):
         gamma = gamma * eps ** mj
     return gamma, tuple(u), m

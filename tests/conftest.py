@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from normform import (
+    FullModule,
     Poly,
-    build_module,
     build_tower,
     relative_units,
 )
@@ -24,7 +24,7 @@ def pell_tower():
 @pytest.fixture(scope="session")
 def pell_module(pell_tower):
     t = pell_tower
-    return build_module(t, [t.l_element([1]), t.l_element([0, 1])])
+    return FullModule(t, [t.l_element([1]), t.l_element([0, 1])])
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +36,7 @@ def pell_system(pell_module):
 @pytest.fixture(scope="session")
 def pell_nonmax_module(pell_tower):
     t = pell_tower
-    return build_module(t, [t.l_element([1]), t.l_element([0, 2])])
+    return FullModule(t, [t.l_element([1]), t.l_element([0, 2])])
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +54,7 @@ def gaussian_tower():
 @pytest.fixture(scope="session")
 def gaussian_module(gaussian_tower):
     t = gaussian_tower
-    return build_module(t, [t.l_element([1]), t.l_element([0, 1])])
+    return FullModule(t, [t.l_element([1]), t.l_element([0, 1])])
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +77,7 @@ def cyclotomic_tower():
 @pytest.fixture(scope="session")
 def cyclotomic_module(cyclotomic_tower):
     t = cyclotomic_tower
-    return build_module(t, [t.l_element([1]), t.l_element([0, 1])])
+    return FullModule(t, [t.l_element([1]), t.l_element([0, 1])])
 
 
 @pytest.fixture(scope="session")
@@ -103,7 +103,7 @@ def quartic_tower():
 @pytest.fixture(scope="session")
 def quartic_module(quartic_tower):
     t = quartic_tower
-    return build_module(t, [t.l_element([1]), t.l_element([0, 1])])
+    return FullModule(t, [t.l_element([1]), t.l_element([0, 1])])
 
 
 @pytest.fixture(scope="session")

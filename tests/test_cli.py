@@ -280,12 +280,57 @@ sys.exit(cli.main(["reduce", sys.argv[1]]))
 """
 
 
-def test_bound_violation_exits_5_under_optimize():
+def run_optimized(script, problem):
+    """Run a script under python -O with this checkout's normform importable."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", VIOLATE_BOUND, str(PROBLEMS / "pell.json")],
+    return subprocess.run([sys.executable, "-O", "-c", script, str(problem)],
                           capture_output=True, text=True, timeout=300, env=env)
+
+
+def test_bound_violation_exits_5_under_optimize():
+    proc = run_optimized(VIOLATE_BOUND, PROBLEMS / "pell.json")
     assert proc.returncode == 5, proc.stderr
     assert "VerificationError: height bound violated" in proc.stderr
     assert proc.stdout == ""
+
+
+BREAK_RANK_FORMULA = """
+import sys
+import normform.module_order as module_order
+from normform import cli
+
+if __debug__:
+    sys.exit("run under python -O")
+real = module_order.integer_kernel
+module_order.integer_kernel = lambda rows, ncols=None: real(rows, ncols) * 2
+sys.exit(cli.main(["units", sys.argv[1]]))
+"""
+
+
+def test_relative_unit_invariant_exits_5_under_optimize():
+    proc = run_optimized(BREAK_RANK_FORMULA, PROBLEMS / "pell.json")
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("VerificationError: relative unit system: rank certificate failed")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_solve_builds_the_norm_form_once(monkeypatch, tmp_path):
+    import normform.norm_form as norm_form
+
+    calls = []
+    real = norm_form.norm_form_poly
+
+    def counted(module):
+        calls.append(module)
+        return real(module)
+
+    monkeypatch.setattr(norm_form, "norm_form_poly", counted)
+    monkeypatch.setattr(cli, "norm_form_poly", counted, raising=False)
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", str(PROBLEMS / "pell.json"), "--coeff-bound", "2",
+                     "--output", str(out)]) == 0
+    assert len(calls) == 1
+    assert json.loads(out.read_text())["result"]["norm_form"]

@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 
 from normform import (
+    FullModule,
     Poly,
-    build_module,
     build_tower,
     coefficient_ring,
     fundamental_unit_real_quadratic,
     is_torsion_unit,
-    module_contains,
     relative_norm,
     relative_units,
     relative_units_from_epsilons,
@@ -21,11 +20,14 @@ from normform import (
     verify_rank,
     weil_height,
 )
-from normform.module_order import RelativeUnitSystem, _float_rank
+from normform import module_order
+from normform.errors import VerificationError
+from normform.module_order import CoefficientRing, RelativeUnitSystem
 from normform.places_heights import place_fibers
+from normform.rational_core import least_squares
 
 
-# -- build_module / membership ---------------------------------------------------
+# -- FullModule / membership ---------------------------------------------------
 
 
 def test_build_module_pell(pell_tower, pell_module):
@@ -35,7 +37,7 @@ def test_build_module_pell(pell_tower, pell_module):
 
 def test_build_module_scaled(pell_tower):
     t = pell_tower
-    m = build_module(t, [t.l_element([1]), t.l_element([0, 2])])
+    m = FullModule(t, [t.l_element([1]), t.l_element([0, 2])])
     ok, coords = m.contains(t.l_element([1, 1]))
     assert not ok and coords == [1, Fraction(1, 2)]
 
@@ -43,20 +45,20 @@ def test_build_module_scaled(pell_tower):
 def test_build_module_rejects_nonintegral(pell_tower):
     t = pell_tower
     with pytest.raises(ValueError, match="not contained in O_l"):
-        build_module(t, [t.l_element([1]), t.l_element([0, Fraction(1, 2)])])
+        FullModule(t, [t.l_element([1]), t.l_element([0, Fraction(1, 2)])])
 
 
 def test_build_module_rejects_dependent(pell_tower):
     t = pell_tower
     with pytest.raises(ValueError, match="not k-linearly independent"):
-        build_module(t, [t.l_element([1]), t.l_element([3])])
+        FullModule(t, [t.l_element([1]), t.l_element([3])])
 
 
 def test_module_contains_examples(pell_module, pell_tower):
     t = pell_tower
-    ok, coords = module_contains(pell_module, t.l_element([3, 1]))
+    ok, coords = pell_module.contains(t.l_element([3, 1]))
     assert ok and coords == [3, 1]
-    ok, coords = module_contains(pell_module, t.zero("l"))
+    ok, coords = pell_module.contains(t.zero("l"))
     assert ok and coords == [0, 0]
 
 
@@ -95,7 +97,7 @@ def test_coefficient_ring_gaussian(gaussian_module):
 def test_coefficient_ring_of_scaled_module(pell_tower):
     # M = 2*Z[sqrt2]: the multiplier ring is the full Z[sqrt2], not M
     t = pell_tower
-    m = build_module(t, [t.l_element([2]), t.l_element([0, 2])])
+    m = FullModule(t, [t.l_element([2]), t.l_element([0, 2])])
     ring = coefficient_ring(m)
     assert ring.contains(t.one("l"))[0]
     assert ring.contains(t.theta())[0]
@@ -108,6 +110,46 @@ def test_coefficient_ring_closure_is_exact(pell_nonmax_module):
         for b in ring.ring_z_basis:
             ok, coords = ring.contains(a * b)
             assert ok and all(c.denominator == 1 for c in coords)
+
+
+def _break_lattice(monkeypatch):
+    real = module_order.lattice_hnf
+    monkeypatch.setattr(module_order, "lattice_hnf", lambda vecs, dim: real(vecs, dim)[:-1])
+
+
+def _break_integrality(monkeypatch):
+    monkeypatch.setattr(module_order, "is_algebraic_integer", lambda alpha: False)
+
+
+def _break_membership(first_answer):
+    def patch(monkeypatch):
+        answers = iter([first_answer])
+        monkeypatch.setattr(CoefficientRing, "contains",
+                            lambda self, alpha: (next(answers, False), None))
+    return patch
+
+
+@pytest.mark.parametrize("breaks,message", [
+    (_break_lattice, "lattice is degenerate"),
+    (_break_membership(False), "does not contain 1"),
+    (_break_integrality, "escaped O_l"),
+    (_break_membership(True), "is not closed"),
+])
+def test_coefficient_ring_invariants_raise_verification_error(
+        breaks, message, pell_nonmax_module, monkeypatch):
+    breaks(monkeypatch)
+    with pytest.raises(VerificationError, match=message):
+        coefficient_ring(pell_nonmax_module)
+
+
+def test_assemble_system_checks_raise_verification_error(pell_module, monkeypatch):
+    real = module_order.integer_kernel
+    # one relative unit too many: the rank formula no longer holds
+    monkeypatch.setattr(module_order, "integer_kernel",
+                        lambda rows, ncols=None: real(rows, ncols) * 2)
+    t = pell_module.tower
+    with pytest.raises(VerificationError, match="rank certificate failed"):
+        relative_units(pell_module, [t.l_element([1, 1])], [])
 
 
 # -- torsion ------------------------------------------------------------------------
@@ -228,7 +270,7 @@ def test_relative_units_from_epsilons(pell_module):
     assert verify_rank(system) == (1, 0, 1)
     with pytest.raises(ValueError, match="does not stabilize"):
         relative_units_from_epsilons(
-            build_module(t, [t.l_element([1]), t.l_element([0, 2])]),
+            FullModule(t, [t.l_element([1]), t.l_element([0, 2])]),
             [t.l_element([1, 1])])
 
 
@@ -246,7 +288,7 @@ def test_rank_formula_across_corpus(pell_system, gaussian_system,
         r_l, r_k, s = system.ranks
         assert s == r_l - r_k == len(system.epsilons)
         if s:
-            assert _float_rank(system.log_matrix) == s
+            assert least_squares(system.log_matrix)[2] == s
 
 
 # -- fundamental units -----------------------------------------------------------------

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from normform import (
+    FullModule,
     Poly,
-    build_module,
     check_solution,
     enumerate_solutions,
     norm_form_poly,
@@ -57,7 +57,7 @@ def test_norm_form_degree_one():
 
     t = build_tower(Poly([-2, 0, 1]), Poly([-2, 0, 1]), Poly([0, 1]),
                     [Poly([1]), Poly([0, 1])], 96)
-    m = build_module(t, [t.l_element([1])])
+    m = FullModule(t, [t.l_element([1])])
     form = norm_form_poly(m)
     assert dict(form.as_strings()) == {"x1^1": "1"}
 
