@@ -403,11 +403,11 @@ def relative_units(module: FullModule, units_l, units_k) -> RelativeUnitSystem:
         _verify_unit(u, "supplied l-unit")
     for u in units_k:
         _verify_unit(u, "supplied k-unit")
-    for units, places, r in ((units_l, places_l, r_l), (units_k, places_k, r_k)):
-        if least_squares(_log_matrix(units, places))[2] != r:
-            raise ValueError("supplied units not independent")
-
     k_logs = _log_matrix(units_k, places_k)
+    if (least_squares(_log_matrix(units_l, places_l))[2] != r_l
+            or least_squares(k_logs)[2] != r_k):
+        raise ValueError("supplied units not independent")
+
     exponent_rows = []
     for u in units_l:
         nu = relative_norm(u)

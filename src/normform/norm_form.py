@@ -3,22 +3,27 @@
 The norm form is expanded exactly: the coordinates are formal variables and
 the determinant of the generic multiplication matrix is taken over k, so
 every coefficient is an exact k-element.  Enumeration walks a coordinate
-box; equivalence of two solutions is decided numerically on the unit-log
-system and then verified exactly in the field.
+box on the form compiled to integer coefficients over the Z-coordinates of
+M, and verifies every hit exactly in the field; equivalence of two
+solutions is decided numerically on the unit-log system and then verified
+exactly in the field.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from math import lcm, prod
+from operator import mul
 
+from .errors import VerificationError
 from .module_order import FullModule, RelativeUnitSystem, is_torsion_unit, torsion_units
 from .number_field import FieldElement, embed_k_in_l, is_algebraic_integer, relative_norm
 from .places_heights import archimedean_log_vector
 from .rational_core import SPAN_RESIDUAL_TOL, least_squares
 from .reduction import ReductionReport, reduce_solution
 
-__all__ = ["NormFormPoly", "Solution", "SolutionClass", "SolutionSet",
+__all__ = ["NormFormPoly", "IntegerNormForm", "Solution", "SolutionClass", "SolutionSet",
            "norm_form_poly", "check_solution", "enumerate_solutions",
            "partition_classes"]
 
@@ -53,6 +58,60 @@ class NormFormPoly:
         return [("*".join([f"x{i+1}^{p}" for i, p in enumerate(expo) if p]) or "1",
                  coeff.as_string()) for expo, coeff in self.monomials]
 
+    def integer_form(self) -> "IntegerNormForm":
+        """The form over the e*f Z-coordinates x_{i*f+j} of M, where
+        nu_i = sum_j x_{i*f+j} psi_j, with its denominators cleared."""
+        tower = self.module.tower
+        f = tower.f
+        # powers[p]: (sum_j psi_j y_j)^p as {exponents of y_0..y_{f-1}: k-element}
+        powers = [{(0,) * f: tower.one("k")}]
+        for _ in range(self.degree):
+            powers.append(_mul_by_linear(powers[-1], tower.psi_basis))
+        expanded = {}
+        for expo, coeff in self.monomials:
+            for combo in itertools.product(*(powers[p].items() for p in expo)):
+                key = sum((part for part, _ in combo), ())
+                term = coeff
+                for _, c in combo:
+                    term = term * c
+                expanded[key] = expanded[key] + term if key in expanded else term
+        terms = sorted(((k, v.coeff_vector()) for k, v in expanded.items() if not v.is_zero),
+                       reverse=True)
+        denominator = lcm(*(c.denominator for _, vec in terms for c in vec))
+        variables = tuple(tuple(v for v, p in enumerate(expo) for _ in range(p))
+                          for expo, _ in terms)
+        columns = tuple(tuple(int(vec[power] * denominator) for _, vec in terms)
+                        for power in range(f))
+        return IntegerNormForm(variables, columns, denominator)
+
+
+@dataclass(frozen=True)
+class IntegerNormForm:
+    """A norm form as integer coefficient columns over the Z-coordinates of M.
+
+    Monomial m is the product of the coordinates listed in variables[m]
+    (with multiplicity); columns[p][m] is `denominator` times its coefficient
+    of phi^p.
+    """
+
+    variables: tuple
+    columns: tuple
+    denominator: int
+
+    def values(self, coords) -> tuple:
+        """`denominator` times the phi-power coefficients of the form at an
+        integer coordinate vector."""
+        monos = [prod(map(coords.__getitem__, idx)) for idx in self.variables]
+        return tuple(sum(map(mul, column, monos)) for column in self.columns)
+
+    def scaled(self, alpha: FieldElement):
+        """`denominator` times alpha's coefficient vector, or None when that
+        is not integral (then no integer point can take the value alpha)."""
+        vec = [c * self.denominator for c in alpha.coeff_vector()]
+        if any(c.denominator != 1 for c in vec):
+            return None
+        return tuple(int(c) for c in vec)
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -77,7 +136,7 @@ class SolutionSet:
     classes: tuple = None
 
 
-def _mul_by_linear(poly, linear, zero):
+def _mul_by_linear(poly, linear):
     """Multiply a monomial dict by a linear form (list of k-coeffs per var)."""
     out = {}
     for expo, coeff in poly.items():
@@ -102,7 +161,6 @@ def norm_form_poly(module: FullModule) -> NormFormPoly:
                for om_n in module.omega_basis] for om_i in module.omega_basis]
     # entry (m, n) of the generic matrix is the linear form sum_i c[i][n][m] x_i
     entry = [[[coeffs[i][n][m] for i in range(e)] for n in range(e)] for m in range(e)]
-    zero = tower.zero("k")
     one_poly = {tuple([0] * e): tower.one("k")}
     memo = {}
 
@@ -116,7 +174,7 @@ def norm_form_poly(module: FullModule) -> NormFormPoly:
         sign = 1
         for pos, col in enumerate(sorted(cols)):
             sub = minor(row + 1, cols - frozenset([col]))
-            term = _mul_by_linear(sub, entry[row][col], zero)
+            term = _mul_by_linear(sub, entry[row][col])
             for expo, coeff in term.items():
                 signed = coeff if sign > 0 else -coeff
                 prev = acc.get(expo)
@@ -172,23 +230,32 @@ def enumerate_solutions(module: FullModule, beta: FieldElement, coeff_bound: int
     if (2 * coeff_bound + 1) ** n > BOX_CAP:
         raise ValueError("search box too large")
     form = norm_form_poly(module)
+    compiled = form.integer_form()
     torsion = torsion_units(tower, "k")
     if zeta_mode == "one":
         targets = [(beta, tower.one("k"))]
     else:
         targets = [(t * beta, t) for t in torsion]
+    lookup = {}
+    for target, zeta in targets:
+        key = compiled.scaled(target)
+        if key is not None:
+            lookup.setdefault(key, (target, zeta))
     solutions = []
     rng = range(-coeff_bound, coeff_bound + 1)
+    # the zero point takes the value 0, which no target (a unit times
+    # beta != 0) has, so it never hits
     for coords in itertools.product(rng, repeat=n):
-        if not any(coords):
+        hit = lookup.get(compiled.values(coords))
+        if hit is None:
             continue
+        target, zeta = hit
         nu = tower.k_elements(coords)
-        value = form.evaluate(nu)
-        for target, zeta in targets:
-            if value == target:
-                mu = module.element_from_coordinates(coords)
-                solutions.append(Solution(tuple(coords), tuple(nu), mu, zeta))
-                break
+        if form.evaluate(nu) != target:
+            raise VerificationError(f"compiled norm form disagrees with the exact "
+                                    f"form at coordinates {list(coords)}")
+        solutions.append(Solution(coords, tuple(nu),
+                                  module.element_from_coordinates(coords), zeta))
     return SolutionSet(beta, tuple(solutions), coeff_bound, form)
 
 

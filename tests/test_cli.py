@@ -334,3 +334,33 @@ def test_solve_builds_the_norm_form_once(monkeypatch, tmp_path):
                      "--output", str(out)]) == 0
     assert len(calls) == 1
     assert json.loads(out.read_text())["result"]["norm_form"]
+
+
+BREAK_COMPILED_COLUMN = """
+import sys
+from dataclasses import replace
+from normform import cli
+from normform.norm_form import NormFormPoly
+
+if __debug__:
+    sys.exit("run under python -O")
+real = NormFormPoly.integer_form
+
+
+def broken(form):
+    # pell: x1^2 gets coefficient 7 = beta, so (1, 0) hits though N(1) = 1
+    integer = real(form)
+    return replace(integer, columns=((7,) + integer.columns[0][1:],))
+
+
+NormFormPoly.integer_form = broken
+sys.exit(cli.main(["solve", sys.argv[1], "--coeff-bound", "2"]))
+"""
+
+
+def test_compiled_form_mismatch_exits_5_under_optimize():
+    proc = run_optimized(BREAK_COMPILED_COLUMN, PROBLEMS / "pell.json")
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("VerificationError: compiled norm form disagrees")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
