@@ -29,8 +29,8 @@ from .places_heights import FIBER_TOL, archimedean_places, fiber_sums, log_abs
 from .rational_core import ExactLinearSolver, Poly, integer_kernel, lattice_hnf, least_squares
 
 __all__ = ["FullModule", "CoefficientRing", "RelativeUnitSystem", "coefficient_ring",
-           "torsion_units", "is_torsion_unit", "relative_units", "relative_units_from_epsilons",
-           "verify_rank", "fundamental_unit_real_quadratic"]
+           "torsion_units", "torsion_orders", "is_torsion_unit", "relative_units",
+           "relative_units_from_epsilons", "verify_rank", "fundamental_unit_real_quadratic"]
 
 POWER_SEARCH_CAP = 10_000
 TORSION_SEARCH_CAP = 100_000
@@ -195,7 +195,9 @@ def _cyclotomic_poly(n: int) -> Poly:
     return poly
 
 
-def _candidate_orders(degree: int):
+def torsion_orders(degree: int):
+    """Every n with phi(n) dividing the degree: the possible orders of a
+    root of unity in a field of that degree."""
     # phi(n) >= sqrt(n/2), so phi(n) | degree forces n <= 2*degree^2
     return [n for n in range(1, 2 * degree * degree + 3)
             if degree % _euler_phi(n) == 0]
@@ -218,7 +220,7 @@ def is_torsion_unit(alpha: FieldElement):
             return None
     if not is_algebraic_integer(alpha):
         return None
-    top = max(_candidate_orders(degree))
+    top = max(torsion_orders(degree))
     power = alpha
     for n in range(1, top + 1):
         if power == 1:
@@ -245,7 +247,7 @@ def torsion_units(tower: FieldTower, field_tag: str):
         result = (one, -one)
     else:
         primitive = None
-        orders = [n for n in _candidate_orders(degree) if n % 2 == 0]
+        orders = [n for n in torsion_orders(degree) if n % 2 == 0]
         for n in sorted(orders, reverse=True):
             primitive = _find_primitive_root(tower, field_tag, n)
             if primitive is not None:

@@ -4,23 +4,31 @@ The norm form is expanded exactly: the coordinates are formal variables and
 the determinant of the generic multiplication matrix is taken over k, so
 every coefficient is an exact k-element.  Enumeration walks a coordinate
 box on the form compiled to integer coefficients over the Z-coordinates of
-M, and verifies every hit exactly in the field; equivalence of two
-solutions is decided numerically on the unit-log system and then verified
-exactly in the field.
+M, and verifies every hit exactly in the field.  Equivalence of two
+solutions takes its unit exponents from the unit-log system and is then
+decided exactly on their Z-coordinates, through integer unit matrices and
+the regular representation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 
 from .errors import VerificationError
-from .module_order import FullModule, RelativeUnitSystem, is_torsion_unit, torsion_units
+from .module_order import (
+    FullModule,
+    RelativeUnitSystem,
+    is_torsion_unit,
+    torsion_orders,
+    torsion_units,
+)
 from .number_field import FieldElement, embed_k_in_l, is_algebraic_integer, relative_norm
 from .places_heights import archimedean_log_vector
-from .rational_core import SPAN_RESIDUAL_TOL, least_squares
+from .rational_core import SPAN_RESIDUAL_TOL, ExactLinearSolver, least_squares
 from .reduction import ReductionReport, reduce_solution
 
 __all__ = ["NormFormPoly", "IntegerNormForm", "Solution", "SolutionClass", "SolutionSet",
@@ -259,20 +267,120 @@ def enumerate_solutions(module: FullModule, beta: FieldElement, coeff_bound: int
     return SolutionSet(beta, tuple(solutions), coeff_bound, form)
 
 
-def equivalent_solutions(a: FieldElement, b: FieldElement,
-                         system: RelativeUnitSystem) -> bool:
-    """True iff b/a is a torsion multiple of an exact relative-unit power.
+class _CoordinateEquivalence:
+    """Exact multiplication on M's Z-coordinates, built once per partition.
 
-    The exponents come from the unit-log system on the log vector of b/a,
-    rounded; the torsion and module-unit tests on the rest are exact.
+    Multiplication by mu = sum c_i z_i is the linear map Reg(c) = sum c_i Z_i
+    on coordinates, where column j of Z_i holds the coordinates of z_i*z_j:
+    the regular representation (Cohen, A Course in Computational Algebraic
+    Number Theory, 4.2.2).  The Z_i are kept as integers over one common
+    denominator.  Every relative unit stabilizes M, so it and its inverse act
+    by integer matrices.
     """
-    rest = b / a
-    u, residual, _ = least_squares(system.log_matrix, archimedean_log_vector(rest))
-    if residual > SPAN_RESIDUAL_TOL:
+
+    def __init__(self, system: RelativeUnitSystem):
+        module = system.module
+        zb = module.z_basis
+        n = len(zb)
+        cols = {}
+        for i in range(n):
+            for j in range(i, n):
+                cols[i, j] = cols[j, i] = module.coordinates(zb[i] * zb[j])
+        self.denominator = lcm(*(c.denominator for col in cols.values() for c in col))
+        # entries[r][j][i]: denominator * coordinate r of z_i * z_j, so that
+        # entry (r, j) of denominator * Reg(c) is the dot product with c
+        self.entries = tuple(tuple(tuple(int(cols[i, j][r] * self.denominator)
+                                         for i in range(n)) for j in range(n))
+                             for r in range(n))
+        self.system = system
+        self.top = max(torsion_orders(n))
+        self.units = tuple(self._unit_matrices(module.coordinates(eps), idx)
+                           for idx, eps in enumerate(system.epsilons, 1))
+        self._inverses = {}
+
+    def _scaled_regular(self, coords):
+        """denominator * Reg(coords), as rows."""
+        return [[sum(map(mul, coords, entry)) for entry in row] for row in self.entries]
+
+    def _unit_matrices(self, coords, idx):
+        """(Reg(eps), Reg(eps)^-1) as integer rows."""
+        forward = [[Fraction(v, self.denominator) for v in row]
+                   for row in self._scaled_regular(coords)]
+        backward = ExactLinearSolver(forward).inverse_rows
+        if any(v.denominator != 1 for rows in (forward, backward) for row in rows for v in row):
+            raise VerificationError(f"relative unit {idx} does not act on the module "
+                                    f"by an integer matrix")
+        return tuple(tuple(tuple(int(v) for v in row) for row in rows)
+                     for rows in (forward, backward))
+
+    def _inverse(self, coords):
+        """(Q, s) with Reg(coords)^-1 = denominator * Q / s, Q as columns."""
+        if coords not in self._inverses:
+            rows = ExactLinearSolver(self._scaled_regular(coords)).inverse_rows
+            scale = lcm(*(v.denominator for row in rows for v in row))
+            self._inverses[coords] = (tuple(zip(*([int(v * scale) for v in row]
+                                                  for row in rows))), scale)
+        return self._inverses[coords]
+
+    def point(self, coords, mu: FieldElement):
+        """(integer coordinates, log vector) of a solution; the log vector is
+        only read at positive relative rank."""
+        return tuple(coords), (archimedean_log_vector(mu) if self.system.rank else ())
+
+    def equivalent(self, a, b) -> bool:
+        """The equivalence test on two points made by `point`.
+
+        With eps^m rounded from the unit-log system, b ~ a iff rest =
+        b*eps^-m/a is a root of unity with rest*M = M, that is iff
+        R = Reg(rest) is an integer matrix with R^t = I for some t <= top.
+        """
+        system = self.system
+        coords = b[0]
+        if system.rank:
+            target = [y - x for x, y in zip(a[1], b[1])]
+            u, residual, _ = least_squares(system.log_matrix, target)
+            if residual > SPAN_RESIDUAL_TOL:
+                return False
+            for (forward, backward), m in zip(self.units, (round(x) for x in u)):
+                matrix = backward if m > 0 else forward
+                for _ in range(abs(m)):
+                    coords = [sum(map(mul, row, coords)) for row in matrix]
+        # R = Reg(coords) * Reg(a)^-1 = (denominator * Reg(coords)) * Q / s
+        columns, scale = self._inverse(a[0])
+        rest_matrix = []
+        for row in self._scaled_regular(coords):
+            out = []
+            for column in columns:
+                value, remainder = divmod(sum(map(mul, row, column)), scale)
+                if remainder:
+                    return False
+                out.append(value)
+            rest_matrix.append(out)
+        # Reg is injective and Reg(x) e_1 holds the coordinates of x*z_1, so
+        # R^t = I iff R^t e_1 = e_1
+        e1 = [1] + [0] * (len(rest_matrix) - 1)
+        vector = e1
+        for _ in range(self.top):
+            vector = [sum(map(mul, row, vector)) for row in rest_matrix]
+            if vector == e1:
+                return True
         return False
-    for eps, mj in zip(system.epsilons, (round(x) for x in u)):
-        rest = rest * eps ** (-mj)
-    return is_torsion_unit(rest) is not None and system.module.stabilized_by(rest)
+
+
+def equivalent_solutions(a, b, system: RelativeUnitSystem, test=None) -> bool:
+    """True iff b = t*eps^m*a for a root of unity t with t*M = M and an exact
+    relative-unit power eps^m.
+
+    a and b are l-elements, or, inside partition_classes, the points of two
+    solutions made by the partition's shared _CoordinateEquivalence `test`.
+    """
+    if test is None:
+        test = _CoordinateEquivalence(system)
+        ca, cb = (system.module.coordinates(x) for x in (a, b))
+        # d*a and d*b have integer coordinates and the same quotient
+        d = lcm(*(c.denominator for c in ca + cb))
+        a, b = (test.point([int(c * d) for c in cs], x) for cs, x in ((ca, a), (cb, b)))
+    return test.equivalent(a, b)
 
 
 def partition_classes(solution_set: SolutionSet,
@@ -281,11 +389,12 @@ def partition_classes(solution_set: SolutionSet,
     if not solution_set.solutions:
         raise ValueError("cannot partition an empty solution set")
     module = system.module
+    test = _CoordinateEquivalence(system)
+    points = [test.point(sol.coords, sol.mu) for sol in solution_set.solutions]
     classes = []       # list of (witness index, [member indices])
-    for idx, sol in enumerate(solution_set.solutions):
+    for idx, point in enumerate(points):
         for entry in classes:
-            witness = solution_set.solutions[entry[0]]
-            if equivalent_solutions(witness.mu, sol.mu, system):
+            if equivalent_solutions(points[entry[0]], point, system, test):
                 entry[1].append(idx)
                 break
         else:

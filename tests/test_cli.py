@@ -364,3 +364,32 @@ def test_compiled_form_mismatch_exits_5_under_optimize():
     assert proc.stderr.startswith("VerificationError: compiled norm form disagrees")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+UNSTABLE_UNIT = """
+import sys
+from dataclasses import replace
+import normform.problemfile as problemfile
+from normform import cli
+
+if __debug__:
+    sys.exit("run under python -O")
+real = problemfile.relative_units
+
+
+def broken(module, units_l, units_k):
+    # pell_nonmax: 1+sqrt2 is a unit of O_l that does not map Z + 2sqrt2 Z into itself
+    return replace(real(module, units_l, units_k), epsilons=tuple(units_l))
+
+
+problemfile.relative_units = broken
+sys.exit(cli.main(["solve", sys.argv[1], "--coeff-bound", "5"]))
+"""
+
+
+def test_non_integral_unit_matrix_exits_5_under_optimize():
+    proc = run_optimized(UNSTABLE_UNIT, PROBLEMS / "pell_nonmax.json")
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("VerificationError: relative unit 1 does not act on the module")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
