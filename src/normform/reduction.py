@@ -26,8 +26,9 @@ __all__ = ["BalancedSubspaceVector", "ReductionReport", "balance_vector",
            "round_to_unit", "reduce_solution", "cm_height_identity"]
 
 # Within TIE_TOL of a half-integer is a tie, whatever the solve's last bits;
-# far below the 1e-9 slack of the height bound check.
+# far below HEIGHT_TOL, the slack of every height comparison.
 TIE_TOL = 1e-12
+HEIGHT_TOL = 1e-9  # slack of a height compared against a bound or an identity
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def round_to_unit(z: BalancedSubspaceVector, system: RelativeUnitSystem):
     return gamma, tuple(u), m
 
 
-def _torsion_quotient(value: FieldElement, beta: FieldElement, system: RelativeUnitSystem):
+def _torsion_quotient(value: FieldElement, beta: FieldElement):
     """value / beta if it is a torsion unit of k, else None."""
     zeta = value / beta
     if is_torsion_unit(zeta) is None:
@@ -125,7 +126,7 @@ def reduce_solution(mu: FieldElement, beta: FieldElement, module: FullModule,
         raise ValueError("beta must be an algebraic integer")
     if not module.contains(mu)[0]:
         raise ValueError("element outside module")
-    zeta = _torsion_quotient(relative_norm(mu), beta, system)
+    zeta = _torsion_quotient(relative_norm(mu), beta)
     if zeta is None:
         raise NotASolutionError("not a solution")
 
@@ -139,7 +140,7 @@ def reduce_solution(mu: FieldElement, beta: FieldElement, module: FullModule,
         report = ReductionReport(
             mu_in=mu, gamma=tower.one("l"), mu_out=mu, z=z, u=(), m=(),
             height_in=height_in, height_out=height_in, bound=bound,
-            zeta_prime=zeta, bound_satisfied=height_in <= bound + 1e-9,
+            zeta_prime=zeta, bound_satisfied=height_in <= bound + HEIGHT_TOL,
             rank_zero=True, cm_identity=identity)
         if not report.bound_satisfied:
             raise VerificationError("height bound violated (implementation bug)")
@@ -155,11 +156,11 @@ def reduce_solution(mu: FieldElement, beta: FieldElement, module: FullModule,
     if lead < 0:
         mu_out = -mu_out
         gamma = -gamma
-    zeta_prime = _torsion_quotient(relative_norm(mu_out), beta, system)
+    zeta_prime = _torsion_quotient(relative_norm(mu_out), beta)
     if zeta_prime is None:
         raise VerificationError("reduction broke the norm relation (implementation bug)")
     height_out = weil_height(mu_out)
-    satisfied = height_out <= bound + 1e-9
+    satisfied = height_out <= bound + HEIGHT_TOL
     if not satisfied:
         raise VerificationError("height bound violated (implementation bug)")
     return ReductionReport(
@@ -183,8 +184,8 @@ def cm_height_identity(mu: FieldElement, beta: FieldElement,
             raise ValueError("tower violates CM structure")
     if mu.is_zero:
         raise ValueError("mu must be nonzero")
-    if _torsion_quotient(relative_norm(mu), beta, system) is None:
+    if _torsion_quotient(relative_norm(mu), beta) is None:
         raise NotASolutionError("not a solution")
     h_mu = weil_height(mu)
     h_beta_over_e = weil_height(beta) / tower.e
-    return (h_mu, h_beta_over_e, abs(h_mu - h_beta_over_e) < 1e-9)
+    return (h_mu, h_beta_over_e, abs(h_mu - h_beta_over_e) < HEIGHT_TOL)

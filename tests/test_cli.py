@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from normform import cli
 from normform.errors import PrecisionError
 from normform.problemfile import parse_problem, serialize_problem
+from normform.reduction import HEIGHT_TOL
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 ALL_PROBLEMS = sorted(PROBLEMS.glob("*.json"))
@@ -166,6 +168,60 @@ def test_verify_dependent_units_exits_5():
     assert report["result"]["first_failure"] == "rank_certificate"
     failing = report["result"]["checks"][0]
     assert "supplied units not independent" in failing["detail"]
+
+
+# Q(2^(1/8))/Q(sqrt2) with phi = theta^4 and M = Z[theta]: relative rank 3
+OCTIC_RANK3 = {
+    "base_field": {"minpoly": ["-2", "0", "1"], "integral_basis": [["1"], ["0", "1"]]},
+    "extension": {"minpoly_over_Q": ["-2", "0", "0", "0", "0", "0", "0", "0", "1"],
+                  "k_generator_in_l": ["0", "0", "0", "0", "1"]},
+    "module_basis": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]],
+    "units_l": [["1", "1"], ["1", "0", "0", "0", "1"],
+                ["1", "0", "0", "0", "-1", "1", "0", "-1"],
+                ["1", "0", "0", "0", "-1", "-1", "0", "1"]],
+    "units_k": [["1", "1"]],
+}
+
+
+@pytest.fixture
+def octic_problem(tmp_path):
+    path = tmp_path / "octic_rank3.json"
+    path.write_text(json.dumps(OCTIC_RANK3))
+    return path
+
+
+def test_verify_octic_rank3_in_closed_form(octic_problem, tmp_path):
+    out = tmp_path / "report.json"
+    started = time.monotonic()
+    code = cli.main(["verify", str(octic_problem), "--output", str(out)])
+    elapsed = time.monotonic() - started
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["result"]["checks"]}
+    for name in ("rounding_inequality", "fiber_deviation_inequality"):
+        margins = [float(m) for m in checks[name]["detail"]["margins"]]
+        assert len(margins) == 3
+        assert all(m >= -HEIGHT_TOL for m in margins)
+    assert elapsed < 2.0
+
+
+def test_verify_unit_margin_violation_exits_5(octic_problem, tmp_path, monkeypatch):
+    units = tmp_path / "units.json"
+    assert cli.main(["units", str(octic_problem), "--output", str(units)]) == 0
+    epsilons = json.loads(units.read_text())["result"]["epsilons"]
+    target = [Fraction(v) for v in epsilons[1]["element"]]
+    real = cli.weil_height
+
+    def lowered(alpha):
+        return real(alpha) - (1e-6 if alpha.coeff_vector() == target else 0.0)
+
+    monkeypatch.setattr(cli, "weil_height", lowered)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", str(octic_problem), "--output", str(out)]) == 5
+    result = json.loads(out.read_text())["result"]
+    assert result["first_failure"] == "rounding_inequality"
+    failing = [c for c in result["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["rounding_inequality"]
+    assert failing[0]["detail"].startswith("unit 1:")
 
 
 def test_missing_file_exits_2():

@@ -1,7 +1,9 @@
 """Source rules for src/normform, checked on the syntax tree.
 
 Invariants are explicit checks that raise, never ``assert`` (``python -O``
-strips those), and no module reaches into another's private names.
+strips those), no module reaches into another's private names, and no
+module imports ``random``, so every report, ``verify`` included, is
+deterministic.
 """
 
 import ast
@@ -14,11 +16,14 @@ MODULES = sorted(SRC.glob("*.py"))
 
 
 def violations(source: str):
-    """(line, description) of every assert and cross-module private import."""
+    """(line, description) of every assert, cross-module private import and random import."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Assert):
             out.append((node.lineno, "assert statement"))
+        elif (isinstance(node, ast.Import) and any(a.name == "random" for a in node.names)
+              or isinstance(node, ast.ImportFrom) and not node.level and node.module == "random"):
+            out.append((node.lineno, "imports random"))
         elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("normform")):
             for alias in node.names:
                 if alias.name.startswith("_"):
@@ -31,6 +36,9 @@ def violations(source: str):
     ("from .module_order import FullModule, _helper\n", [(1, "imports private name _helper")]),
     ("def f():\n    from normform.cli import _emit\n", [(2, "imports private name _emit")]),
     ("from __future__ import annotations\nfrom .errors import PrecisionError\n", []),
+    ("import json, random\n", [(1, "imports random")]),
+    ("def f():\n    from random import Random\n", [(2, "imports random")]),
+    ("import randomness\nfrom .random import shuffle\n", []),
 ])
 def test_rule_checker_finds_violations(source, expected):
     assert violations(source) == expected
