@@ -216,11 +216,12 @@ def cmd_verify(ctx):
 
     def balanced_log_columns():
         system = ctx.system
-        for column in zip(*system.log_matrix):
-            for total in fiber_sums(ctx.tower, column):
-                if abs(total) > FIBER_TOL:
-                    raise AssertionError(f"fiber sum {total} exceeds {FIBER_TOL}")
-        return {"epsilons": len(system.epsilons)}
+        sums = [t for column in zip(*system.log_matrix) for t in fiber_sums(ctx.tower, column)]
+        largest = max(map(abs, sums), default=0.0)
+        if largest > FIBER_TOL:
+            raise AssertionError(f"fiber sum {max(sums, key=abs)} exceeds {FIBER_TOL}")
+        return {"epsilons": len(system.epsilons), "max_abs_fiber_sum": _real(largest),
+                "margin": _real(FIBER_TOL - largest)}
 
     def unit_certificate():
         """Both rounding inequalities in closed form: one margin per unit.
@@ -275,7 +276,8 @@ def cmd_verify(ctx):
         h_mu, h_b, equal = cm_height_identity(ctx.mu(), ctx.beta(), system)
         if not equal:
             raise AssertionError(f"h(mu)={h_mu} but h(beta)/e={h_b}")
-        return {"h_mu": _real(h_mu), "h_beta_over_e": _real(h_b)}
+        return {"h_mu": _real(h_mu), "h_beta_over_e": _real(h_b),
+                "margin": _real(HEIGHT_TOL - abs(h_mu - h_b))}
 
     run("rank_certificate", rank_certificate)
     run("fiber_sums", balanced_log_columns)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import mul
 
 from mpmath import mp
 
@@ -26,7 +28,8 @@ from .number_field import (
     relative_norm,
 )
 from .places_heights import FIBER_TOL, archimedean_places, fiber_sums, log_abs
-from .rational_core import ExactLinearSolver, Poly, integer_kernel, lattice_hnf, least_squares
+from .rational_core import (ExactLinearSolver, Poly, integer_det, integer_kernel, lattice_hnf,
+                            least_squares)
 
 __all__ = ["FullModule", "CoefficientRing", "RelativeUnitSystem", "coefficient_ring",
            "torsion_units", "torsion_orders", "is_torsion_unit", "relative_units",
@@ -81,17 +84,36 @@ class FullModule:
                 acc = acc + Fraction(c) * z
         return acc
 
+    @cached_property
+    def table(self):
+        """(entries, D), the multiplication table of the Z-basis: entries[r][j][i]
+        is D times coordinate r of z_i*z_j, all integers over one common D."""
+        zb, n = self.z_basis, self.rank
+        cols = {(i, j): self.coordinates(zb[i] * zb[j]) for i in range(n) for j in range(i, n)}
+        denominator = lcm(*(c.denominator for col in cols.values() for c in col))
+        entries = tuple(tuple(tuple(int(cols[min(i, j), max(i, j)][r] * denominator)
+                                    for i in range(n)) for j in range(n)) for r in range(n))
+        return entries, denominator
+
+    def regular(self, coords):
+        """D times Reg(coords), as rows: column j of Reg(c) holds the coordinates
+        of (sum c_i z_i)*z_j, the regular representation (Cohen, A Course in
+        Computational Algebraic Number Theory, 4.2.2)."""
+        return [[sum(map(mul, coords, entry)) for entry in row] for row in self.table[0]]
+
+    def unit_matrix(self, coords):
+        """The integer matrix Reg(coords), or None unless it is integral with
+        determinant +-1.  det Reg(alpha) = N_{l/Q}(alpha), so it is not None
+        iff alpha*M ⊆ M with index 1, that is iff alpha*M = M."""
+        matrix = [[Fraction(v, self.table[1]) for v in row] for row in self.regular(coords)]
+        if any(v.denominator != 1 for row in matrix for v in row):
+            return None
+        matrix = tuple(tuple(map(int, row)) for row in matrix)
+        return matrix if abs(integer_det(matrix)) == 1 else None
+
     def stabilized_by(self, alpha: FieldElement) -> bool:
         """True iff alpha*M = M, i.e. alpha is a unit of the coefficient ring."""
-        if alpha.is_zero:
-            return False
-        inv = alpha.inverse()
-        for z in self.z_basis:
-            if not self.contains(alpha * z)[0]:
-                return False
-            if not self.contains(inv * z)[0]:
-                return False
-        return True
+        return self.unit_matrix(self.coordinates(alpha)) is not None
 
 
 @dataclass(frozen=True)
@@ -117,46 +139,24 @@ def coefficient_ring(module: FullModule) -> CoefficientRing:
     fixed rational matrix applied to x is integral; scaling turns that into
     S u = 0 (mod m) over the integers, solved through integer_kernel.
     """
-    zb = module.z_basis
-    n = len(zb)
-    stacked = []
-    first_block = None
-    for z_n in zb:
-        block = []
-        for z_m in zb:
-            block.append(module.coordinates(z_m * z_n))
-        # block columns are indexed by m: entry (row, m)
-        rows = [[block[m][r] for m in range(n)] for r in range(n)]
-        stacked.extend(rows)
-        if first_block is None:
-            first_block = rows
-    denom = 1
-    for row in stacked:
-        for v in row:
-            denom = lcm(denom, v.denominator)
-    inv_rows = ExactLinearSolver(first_block).inverse_rows
-    d1 = 1
-    for row in inv_rows:
-        for v in row:
-            d1 = lcm(d1, v.denominator)
+    entries, denom = module.table
+    n = module.rank
+    first_block = [[Fraction(v, denom) for v in entries[r][0]] for r in range(n)]
+    d1 = lcm(*(v.denominator for row in ExactLinearSolver(first_block).inverse_rows
+               for v in row))
     modulus = denom * d1
-    nrows = len(stacked)
-    big = [[int(stacked[i][j] * denom) for j in range(n)]
-           + [modulus if i == c else 0 for c in range(nrows)]
-           for i in range(nrows)]
+    # row (b, r) holds denom times coordinate r of z_m * z_b, over the columns m
+    big = [list(entries[r][b]) + [modulus if b * n + r == c else 0 for c in range(n * n)]
+           for b in range(n) for r in range(n)]
     kernel = integer_kernel(big)
     u_basis = lattice_hnf([vec[:n] for vec in kernel], n)
     if len(u_basis) != n:
         raise VerificationError("coefficient ring lattice is degenerate (solver bug)")
-    ring_elements = []
-    for u in u_basis:
-        coords = [Fraction(v, d1) for v in u]
-        ring_elements.append(module.element_from_coordinates(coords))
-    tower = module.tower
+    ring_elements = [module.element_from_coordinates([Fraction(v, d1) for v in u])
+                     for u in u_basis]
     rows = [[z.coeff_vector()[r] for z in ring_elements] for r in range(n)]
     ring = CoefficientRing(module, tuple(ring_elements), ExactLinearSolver(rows))
-    ok, _ = ring.contains(tower.one("l"))
-    if not ok:
+    if not ring.contains(module.tower.one("l"))[0]:
         raise VerificationError("coefficient ring does not contain 1 (solver bug)")
     for i, a in enumerate(ring_elements):
         if not is_algebraic_integer(a):

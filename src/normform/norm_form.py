@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 
@@ -268,55 +267,29 @@ def enumerate_solutions(module: FullModule, beta: FieldElement, coeff_bound: int
 
 
 class _CoordinateEquivalence:
-    """Exact multiplication on M's Z-coordinates, built once per partition.
-
-    Multiplication by mu = sum c_i z_i is the linear map Reg(c) = sum c_i Z_i
-    on coordinates, where column j of Z_i holds the coordinates of z_i*z_j:
-    the regular representation (Cohen, A Course in Computational Algebraic
-    Number Theory, 4.2.2).  The Z_i are kept as integers over one common
-    denominator.  Every relative unit stabilizes M, so it and its inverse act
-    by integer matrices.
-    """
+    """Exact multiplication on M's Z-coordinates through the module's regular
+    representation Reg (FullModule.regular), built once per partition."""
 
     def __init__(self, system: RelativeUnitSystem):
-        module = system.module
-        zb = module.z_basis
-        n = len(zb)
-        cols = {}
-        for i in range(n):
-            for j in range(i, n):
-                cols[i, j] = cols[j, i] = module.coordinates(zb[i] * zb[j])
-        self.denominator = lcm(*(c.denominator for col in cols.values() for c in col))
-        # entries[r][j][i]: denominator * coordinate r of z_i * z_j, so that
-        # entry (r, j) of denominator * Reg(c) is the dot product with c
-        self.entries = tuple(tuple(tuple(int(cols[i, j][r] * self.denominator)
-                                         for i in range(n)) for j in range(n))
-                             for r in range(n))
+        module = self.module = system.module
         self.system = system
-        self.top = max(torsion_orders(n))
-        self.units = tuple(self._unit_matrices(module.coordinates(eps), idx)
-                           for idx, eps in enumerate(system.epsilons, 1))
+        self.top = max(torsion_orders(module.rank))
+        self.units = []
+        for idx, eps in enumerate(system.epsilons, 1):
+            forward = module.unit_matrix(module.coordinates(eps))
+            if forward is None:
+                raise VerificationError(f"relative unit {idx} does not act on the module "
+                                        f"by an integer matrix")
+            # a relative unit stabilizes M: Reg(eps) has determinant +-1, so
+            # Reg(eps)^-1 is integral too
+            backward = [[int(v) for v in row] for row in ExactLinearSolver(forward).inverse_rows]
+            self.units.append((forward, backward))
         self._inverses = {}
 
-    def _scaled_regular(self, coords):
-        """denominator * Reg(coords), as rows."""
-        return [[sum(map(mul, coords, entry)) for entry in row] for row in self.entries]
-
-    def _unit_matrices(self, coords, idx):
-        """(Reg(eps), Reg(eps)^-1) as integer rows."""
-        forward = [[Fraction(v, self.denominator) for v in row]
-                   for row in self._scaled_regular(coords)]
-        backward = ExactLinearSolver(forward).inverse_rows
-        if any(v.denominator != 1 for rows in (forward, backward) for row in rows for v in row):
-            raise VerificationError(f"relative unit {idx} does not act on the module "
-                                    f"by an integer matrix")
-        return tuple(tuple(tuple(int(v) for v in row) for row in rows)
-                     for rows in (forward, backward))
-
     def _inverse(self, coords):
-        """(Q, s) with Reg(coords)^-1 = denominator * Q / s, Q as columns."""
+        """(Q, s) with Reg(coords)^-1 = D * Q / s, Q as columns."""
         if coords not in self._inverses:
-            rows = ExactLinearSolver(self._scaled_regular(coords)).inverse_rows
+            rows = ExactLinearSolver(self.module.regular(coords)).inverse_rows
             scale = lcm(*(v.denominator for row in rows for v in row))
             self._inverses[coords] = (tuple(zip(*([int(v * scale) for v in row]
                                                   for row in rows))), scale)
@@ -345,10 +318,10 @@ class _CoordinateEquivalence:
                 matrix = backward if m > 0 else forward
                 for _ in range(abs(m)):
                     coords = [sum(map(mul, row, coords)) for row in matrix]
-        # R = Reg(coords) * Reg(a)^-1 = (denominator * Reg(coords)) * Q / s
+        # R = Reg(coords) * Reg(a)^-1 = (D * Reg(coords)) * Q / s
         columns, scale = self._inverse(a[0])
         rest_matrix = []
-        for row in self._scaled_regular(coords):
+        for row in self.module.regular(coords):
             out = []
             for column in columns:
                 value, remainder = divmod(sum(map(mul, row, column)), scale)

@@ -84,9 +84,7 @@ def parse_problem(text) -> ProblemFile:
             return None
         return [_parse_element(v, f"{key} element", max_degree) for v in data[key]]
 
-    precision = data.get("precision_bits", DEFAULT_PRECISION_BITS)
-    if not isinstance(precision, int) or precision < 32:
-        raise ValueError("precision_bits must be an integer >= 32")
+    precision = _checked_precision(data.get("precision_bits", DEFAULT_PRECISION_BITS))
     zeta_mode = data.get("zeta_mode", "any_torsion")
     if zeta_mode not in ZETA_MODES:
         raise ValueError(f"zeta_mode must be one of {ZETA_MODES}")
@@ -183,8 +181,16 @@ class ProblemContext:
         return self.tower.l_element(self.problem.mu)
 
 
+def _checked_precision(precision):
+    """The working precision in bits, from a problem file or the CLI flag."""
+    if not isinstance(precision, int) or precision < 32:
+        raise ValueError("precision_bits must be an integer >= 32")
+    return precision
+
+
 def build_context(pf: ProblemFile, precision_bits: int = None) -> ProblemContext:
-    precision = precision_bits or pf.precision_bits
+    precision = _checked_precision(pf.precision_bits if precision_bits is None
+                                   else precision_bits)
     tower = build_tower(pf.base_minpoly, pf.ext_minpoly, pf.k_generator_in_l,
                         pf.integral_basis, precision)
     module = FullModule(tower, [tower.l_element(p) for p in pf.module_basis])

@@ -24,6 +24,7 @@ __all__ = [
     "primitive_part",
     "poly_complex_roots",
     "integer_kernel",
+    "integer_det",
     "lattice_hnf",
     "ExactLinearSolver",
     "rational_rank",
@@ -501,6 +502,24 @@ def integer_kernel(rows, ncols=None):
         if any(sum(rows[i][j] * v[j] for j in range(c)) for i in range(r)):
             raise VerificationError("integer kernel vector is not in the kernel")
     return lattice_hnf(basis, c)
+
+
+def integer_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination, in
+    which every division is exact (Bareiss, Math. Comp. 22, 1968)."""
+    a, sign, previous = [[int(v) for v in row] for row in rows], 1, 1
+    n = len(a)
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def lattice_hnf(vectors, dim=None):

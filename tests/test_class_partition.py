@@ -3,10 +3,11 @@
 ``reference_equivalent`` is the former body of ``equivalent_solutions``,
 kept here as the reference: it divides in the field, takes the log vector of
 the quotient, applies exact unit powers and finishes with
-``is_torsion_unit`` and ``stabilized_by``.  The coordinate test must agree
-with it on every ordered pair of corpus solutions and on random unit and
-torsion multiples, and ``partition_classes`` must do none of that field
-work outside the reduction of each class representative.
+``is_torsion_unit`` and the field-arithmetic ``reference_stabilized_by``.
+The coordinate test must agree with it on every ordered pair of corpus
+solutions and on random unit and torsion multiples, and
+``partition_classes`` must do none of that field work outside the reduction
+of each class representative.
 """
 
 import functools
@@ -37,6 +38,7 @@ from normform.norm_form import equivalent_solutions
 from normform.places_heights import archimedean_log_vector
 from normform.problemfile import build_context, parse_problem
 from normform.rational_core import SPAN_RESIDUAL_TOL, least_squares
+from test_unit_matrix import reference_stabilized_by
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 # the dependent-units problem has no relative unit system to partition with
@@ -51,7 +53,7 @@ def reference_equivalent(a, b, system):
         return False
     for eps, mj in zip(system.epsilons, (round(x) for x in u)):
         rest = rest * eps ** (-mj)
-    return is_torsion_unit(rest) is not None and system.module.stabilized_by(rest)
+    return is_torsion_unit(rest) is not None and reference_stabilized_by(system.module, rest)
 
 
 @functools.lru_cache(maxsize=None)

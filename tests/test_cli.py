@@ -14,6 +14,7 @@ import pytest
 from normform import cli
 from normform.errors import PrecisionError
 from normform.problemfile import parse_problem, serialize_problem
+from normform.places_heights import FIBER_TOL
 from normform.reduction import HEIGHT_TOL
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -161,6 +162,25 @@ def test_verify_corpus_passes(name):
     assert all(c["passed"] for c in report["result"]["checks"])
 
 
+@pytest.mark.parametrize("name", ["pell.json", "gaussian.json",
+                                  "cyclotomic5.json", "quartic2.json",
+                                  "pell_nonmax.json", "pell_beta3.json"])
+def test_verify_reports_margins(name):
+    code, report, _ = run_cli("verify", str(PROBLEMS / name))
+    assert code == 0
+    checks = {c["name"]: c["detail"] for c in report["result"]["checks"]}
+    fibers = checks["fiber_sums"]
+    assert 0 <= float(fibers["max_abs_fiber_sum"]) <= FIBER_TOL
+    assert float(fibers["margin"]) >= 0
+    identity = checks["rank_zero_identity"]
+    if "h_mu" in identity:
+        assert float(identity["margin"]) >= 0
+    else:
+        assert "margin" not in identity
+    # the rank-zero towers of the corpus run the identity
+    assert ("h_mu" in identity) == (name in ("gaussian.json", "cyclotomic5.json"))
+
+
 def test_verify_dependent_units_exits_5():
     code, report, _ = run_cli("verify", str(PROBLEMS / "quartic2_dependent_units.json"))
     assert code == 5
@@ -263,6 +283,17 @@ def test_precision_flag_accepted():
                               "--precision-bits", "192")
     assert code == 0
     assert report["precision_bits"] == 192
+
+
+@pytest.mark.parametrize("bits,expected", [("-5", 2), ("0", 2), ("16", 2), ("32", 0)])
+def test_precision_flag_is_validated_like_the_file(bits, expected):
+    code, report, err = run_cli("height", str(PROBLEMS / "pell.json"), "1+θ",
+                                "--precision-bits", bits)
+    assert code == expected
+    if expected == 2:
+        assert "precision_bits must be an integer >= 32" in err
+    else:
+        assert report["precision_bits"] == 32
 
 
 def test_relative_units_override(tmp_path):
